@@ -18,6 +18,7 @@ failing.
 from __future__ import annotations
 
 import logging
+import threading
 
 from . import engine as E
 from . import costs
@@ -35,6 +36,22 @@ log = logging.getLogger(__name__)
 
 # (kernel, stride, padding) of the pooled scales, coarse last
 POOL_SCALES = ((5, 2, 2), (9, 4, 4), (17, 8, 8))
+
+# (k, h, w) degradations already logged. Kept per process rather than on
+# the PyramidPooling object, so a forward never writes to the model; locked
+# because threaded evaluation runs forwards concurrently.
+_notified = set()
+_notified_lock = threading.Lock()
+
+
+def _notice(k, h, w):
+    """Log, once per process, that pool scale k degraded at an h x w input."""
+    with _notified_lock:
+        if (k, h, w) in _notified:
+            return
+        _notified.add((k, h, w))
+    log.info("pyramid scale k=%d degraded to global pooling for %dx%d input",
+             k, h, w)
 
 
 class PyramidPooling(Module):
@@ -68,20 +85,12 @@ class PyramidPooling(Module):
         ])
         self.compression = bn_act_conv(hidden * (len(POOL_SCALES) + 2), cout, 1, rng)
         self.shortcut = bn_act_conv(cin, cout, 1, rng)
-        self._notified = set()
 
     def _degenerate(self, k, s, p, h, w):
         # the scale adds nothing once its pooled map collapses to 1x1
         oh = (h + 2 * p - k) // s + 1
         ow = (w + 2 * p - k) // s + 1
         return oh <= 1 and ow <= 1
-
-    def _notice(self, k, h, w):
-        key = (k, h, w)
-        if key not in self._notified:
-            self._notified.add(key)
-            log.info("pyramid scale k=%d degraded to global pooling for %dx%d input",
-                     k, h, w)
 
     def _apply_gate(self, r, mode):
         attn = self.gate_proj(self.gate_v(self.gate_h(self.gate_small(r, mode),
@@ -101,7 +110,7 @@ class PyramidPooling(Module):
         levels = [r]
         for i, (k, s, p) in enumerate(POOL_SCALES):
             if self._degenerate(k, s, p, h, w):
-                self._notice(k, h, w)
+                _notice(k, h, w)
                 pooled = E.global_avg_pool(x)
             else:
                 pooled = E.avg_pool(x, k, s, p)

@@ -3,8 +3,14 @@
 Everything runs on 64-bit floats so gradients can be checked tightly
 against central finite differences. Convolution is direct (a blocked
 im2col-style contraction, no FFT/Winograd), cross-correlation convention,
-zero padding. The autodiff graph is a define-by-run tape: every operation
-that sees a grad-requiring input records a backward closure on its output.
+zero padding. Convolution and pooling share one geometry: the input is
+copied once into a zero-filled buffer of the padded shape (`_pad`), every
+kernel tap is read through one read-only strided view of that buffer
+(`_windows`), and the backward adds each tap's gradient back through the
+same slices (`_scatter_taps`).
+
+The autodiff graph is a define-by-run tape: every operation that sees a
+grad-requiring input records a backward closure on its output.
 
 Conventions fixed here and relied on everywhere else:
   * bilinear resizing uses half-pixel source centers (align_corners=False
@@ -26,7 +32,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
+from numpy.lib.stride_tricks import as_strided
 from scipy.special import erf, expit
 
 __all__ = [
@@ -144,16 +150,6 @@ class ConvSpec:
             raise ValueError(f"padding must be >= 0, got {self.padding}")
         if self.groups < 1:
             raise ValueError(f"groups must be >= 1, got {self.groups}")
-
-    def extent(self):
-        """Effective kernel extent per axis: (k - 1) * d + 1."""
-        return tuple((k - 1) * d + 1 for k, d in zip(self.kernel, self.dilation))
-
-    def out_hw(self, h, w):
-        eh, ew = self.extent()
-        oh = (h + 2 * self.padding[0] - eh) // self.stride[0] + 1
-        ow = (w + 2 * self.padding[1] - ew) // self.stride[1] + 1
-        return oh, ow
 
 
 class Tensor:
@@ -545,37 +541,86 @@ def _check_4d(x, name):
         raise ValueError(f"{name} must be 4-D (n, c, h, w), got shape {x.data.shape}")
 
 
-def _windows(arr, kernel, stride, dilation):
-    """Strided view (n, c, oh, ow, kh, kw) of every kernel tap. No copy."""
+def _out_hw(h, w, kernel, stride, padding, dilation=(1, 1)):
+    """Output size per axis: floor((h + 2p - (k - 1) d - 1) / s) + 1."""
+    (kh, kw), (sh, sw), (ph, pw), (dh, dw) = kernel, stride, padding, dilation
+    return ((h + 2 * ph - (kh - 1) * dh - 1) // sh + 1,
+            (w + 2 * pw - (kw - 1) * dw - 1) // sw + 1)
+
+
+def _pad(arr, padding):
+    """Zero-padded C-contiguous copy of a 4-D array.
+
+    One zero-filled buffer of the padded shape with the input copied into
+    its interior, so the values equal constant-mode `np.pad`. Without
+    padding a C-contiguous input is returned as is; any other layout is
+    copied, because the order in which numpy sums the window taps follows
+    the memory layout, and results must not depend on it.
+    """
+    ph, pw = padding
+    if not (ph or pw):
+        return np.ascontiguousarray(arr)
+    n, c, h, w = arr.shape
+    out = np.zeros((n, c, h + 2 * ph, w + 2 * pw))
+    out[:, :, ph : ph + h, pw : pw + w] = arr
+    return out
+
+
+def _windows(xp, kernel, stride, dilation):
+    """Read-only strided view (n, c, oh, ow, kh, kw) of every kernel tap. No copy.
+
+    `xp` is the padded input. Tap (i, j) of output (y, x) reads
+    xp[..., y * sh + i * dh, x * sw + j * dw]; the view's strides are built
+    from `xp`'s own, so non-contiguous inputs (channel slices, transposes)
+    are read correctly.
+    """
+    n, c, hp, wp = xp.shape
+    oh, ow = _out_hw(hp, wp, kernel, stride, (0, 0), dilation)
+    s0, s1, s2, s3 = xp.strides
+    (sh, sw), (dh, dw) = stride, dilation
+    return as_strided(xp, (n, c, oh, ow, *kernel),
+                      (s0, s1, s2 * sh, s3 * sw, s2 * dh, s3 * dw),
+                      writeable=False)
+
+
+def _scatter_taps(xp, tap_grad, kernel, stride, dilation, padding):
+    """Adjoint of `_windows` over `_pad`: the gradient w.r.t. the unpadded input.
+
+    Adds `tap_grad(i, j)`, the (n, c, oh, ow) gradient reaching tap (i, j),
+    onto a zero grid laid out like the padded input `xp`, taps in row-major
+    order, then crops the padding.
+    """
     kh, kw = kernel
-    sh, sw = stride
-    dh, dw = dilation
-    eh, ew = (kh - 1) * dh + 1, (kw - 1) * dw + 1
-    win = sliding_window_view(arr, (eh, ew), axis=(2, 3))
-    return win[:, :, ::sh, ::sw, ::dh, ::dw]
+    (sh, sw), (dh, dw), (ph, pw) = stride, dilation, padding
+    hp, wp = xp.shape[2:]
+    oh, ow = _out_hw(hp, wp, kernel, stride, (0, 0), dilation)
+    gxp = np.zeros_like(xp)
+    for i in range(kh):
+        hs = slice(i * dh, i * dh + sh * oh, sh)
+        for j in range(kw):
+            ws = slice(j * dw, j * dw + sw * ow, sw)
+            gxp[:, :, hs, ws] += tap_grad(i, j)
+    if ph or pw:
+        return gxp[:, :, ph : hp - ph, pw : wp - pw]
+    return gxp
 
 
-def conv2d(x, w, b=None, stride=1, padding=0, dilation=1, groups=1, spec=None):
+def conv2d(x, w, b=None, stride=1, padding=0, dilation=1, groups=1):
     """Direct grouped/strided/dilated 2-D convolution (cross-correlation).
 
     x: (n, c_in, h, w); w: (c_out, c_in / groups, kh, kw); b: (c_out,) or None.
-    Geometry comes from the scalars or, when given, from a ConvSpec.
     Output spatial size follows floor((h + 2p - (k - 1) d - 1) / s) + 1.
     """
-    if spec is not None:
-        stride, padding = spec.stride, spec.padding
-        dilation, groups = spec.dilation, spec.groups
     x, w = _as_tensor(x), _as_tensor(w)
     _check_4d(x, "conv input")
     if w.data.ndim != 4:
         raise ValueError(f"conv weight must be 4-D, got shape {w.data.shape}")
-    sh, sw = _pair(stride)
-    ph, pw = _pair(padding)
-    dh, dw = _pair(dilation)
+    stride, padding, dilation = _pair(stride), _pair(padding), _pair(dilation)
     g = int(groups)
 
     n, cin, h, wdt = x.data.shape
     cout, cg, kh, kw = w.data.shape
+    kernel = (kh, kw)
     if g < 1:
         raise ValueError(f"groups must be >= 1, got {g}")
     if cin % g:
@@ -592,17 +637,16 @@ def conv2d(x, w, b=None, stride=1, padding=0, dilation=1, groups=1, spec=None):
             raise ValueError(
                 f"bias axis mismatch: expected ({cout},), got {b.data.shape}"
             )
-    eh, ew = (kh - 1) * dh + 1, (kw - 1) * dw + 1
-    oh = (h + 2 * ph - eh) // sh + 1
-    ow = (wdt + 2 * pw - ew) // sw + 1
+    oh, ow = _out_hw(h, wdt, kernel, stride, padding, dilation)
     if oh < 1 or ow < 1:
+        (dh, dw), (ph, pw) = dilation, padding
         raise ValueError(
-            f"zero-sized conv output: input {h}x{wdt}, kernel extent {eh}x{ew}, "
-            f"padding {ph}x{pw}"
+            f"zero-sized conv output: input {h}x{wdt}, kernel extent "
+            f"{(kh - 1) * dh + 1}x{(kw - 1) * dw + 1}, padding {ph}x{pw}"
         )
 
-    xp = np.pad(x.data, ((0, 0), (0, 0), (ph, ph), (pw, pw))) if (ph or pw) else x.data
-    win = _windows(xp, (kh, kw), (sh, sw), (dh, dw))  # (n, cin, oh, ow, kh, kw)
+    xp = _pad(x.data, padding)
+    win = _windows(xp, kernel, stride, dilation)  # (n, cin, oh, ow, kh, kw)
     depthwise_path = g == cin == cout
 
     if depthwise_path:
@@ -631,18 +675,6 @@ def conv2d(x, w, b=None, stride=1, padding=0, dilation=1, groups=1, spec=None):
 
     parents = (x, w) if b is None else (x, w, b)
 
-    def scatter_taps(gcols_taps):
-        """gcols_taps: (n, cin, kh, kw, oh, ow) -> gradient w.r.t. x."""
-        gxp = np.zeros_like(xp)
-        for i in range(kh):
-            hs = slice(i * dh, i * dh + sh * oh, sh)
-            for j in range(kw):
-                ws = slice(j * dw, j * dw + sw * ow, sw)
-                gxp[:, :, hs, ws] += gcols_taps[:, :, i, j]
-        if ph or pw:
-            return gxp[:, :, ph : ph + h, pw : pw + wdt]
-        return gxp
-
     def bwd(g_out):
         if b is not None and b.requires_grad:
             _acc(b, g_out.sum(axis=(0, 2, 3)))
@@ -655,16 +687,9 @@ def conv2d(x, w, b=None, stride=1, padding=0, dilation=1, groups=1, spec=None):
                             axis=(0, 2, 3))
                 _acc(w, gw)
             if x.requires_grad:
-                gxp = np.zeros_like(xp)
-                for i in range(kh):
-                    hs = slice(i * dh, i * dh + sh * oh, sh)
-                    for j in range(kw):
-                        ws = slice(j * dw, j * dw + sw * ow, sw)
-                        gxp[:, :, hs, ws] += (
-                            g_out * w.data[None, :, 0, i, j, None, None])
-                if ph or pw:
-                    gxp = gxp[:, :, ph : ph + h, pw : pw + wdt]
-                _acc(x, gxp)
+                _acc(x, _scatter_taps(
+                    xp, lambda i, j: g_out * w.data[None, :, 0, i, j, None, None],
+                    kernel, stride, dilation, padding))
             return
         go = g_out.reshape(n, cout, oh * ow)
         if g == 1:
@@ -673,8 +698,6 @@ def conv2d(x, w, b=None, stride=1, padding=0, dilation=1, groups=1, spec=None):
                 _acc(w, gw.reshape(w.data.shape))
             if x.requires_grad:
                 gcols = np.matmul(w.data.reshape(cout, -1).T, go)
-                _acc(x, scatter_taps(
-                    gcols.reshape(n, cin, kh, kw, oh, ow)))
         else:
             cg_in, cg_out = cin // g, cout // g
             gog = go.reshape(n, g, cg_out, oh * ow)
@@ -690,23 +713,19 @@ def conv2d(x, w, b=None, stride=1, padding=0, dilation=1, groups=1, spec=None):
                 gcols = np.empty((n, g, cg_in * kh * kw, oh * ow))
                 for gi in range(g):
                     np.matmul(wmat[gi].T, gog[:, gi], out=gcols[:, gi])
-                _acc(x, scatter_taps(
-                    gcols.reshape(n, cin, kh, kw, oh, ow)))
+        if x.requires_grad:
+            taps = gcols.reshape(n, cin, kh, kw, oh, ow)
+            _acc(x, _scatter_taps(xp, lambda i, j: taps[:, :, i, j],
+                                  kernel, stride, dilation, padding))
 
     return _record(out, parents, bwd)
 
 
-def depthwise(x, w, b=None, stride=1, padding=0, dilation=1, spec=None):
+def depthwise(x, w, b=None, stride=1, padding=0, dilation=1):
     """Per-channel convolution: conv2d with groups = c_in = c_out."""
     x = _as_tensor(x)
     _check_4d(x, "depthwise input")
     c = x.data.shape[1]
-    if spec is not None:
-        if spec.groups != c:
-            raise ValueError(
-                f"depthwise spec must carry groups = {c}, got {spec.groups}"
-            )
-        stride, padding, dilation = spec.stride, spec.padding, spec.dilation
     w = _as_tensor(w)
     if w.data.shape[0] != c or w.data.shape[1] != 1:
         raise ValueError(
@@ -719,26 +738,24 @@ def avg_pool(x, kernel, stride=None, padding=0):
     """Average pooling; the divisor counts only valid (non-padding) cells."""
     x = _as_tensor(x)
     _check_4d(x, "pool input")
-    kh, kw = _pair(kernel)
-    sh, sw = _pair(stride) if stride is not None else (kh, kw)
-    ph, pw = _pair(padding)
+    kernel = _pair(kernel)
+    stride = _pair(stride) if stride is not None else kernel
+    padding = _pair(padding)
+    (kh, kw), (ph, pw) = kernel, padding
     n, c, h, w = x.data.shape
     if kh > h + 2 * ph or kw > w + 2 * pw:
         raise ValueError(
             f"pool kernel {kh}x{kw} larger than padded input "
             f"{h + 2 * ph}x{w + 2 * pw}"
         )
-    oh = (h + 2 * ph - kh) // sh + 1
-    ow = (w + 2 * pw - kw) // sw + 1
+    oh, ow = _out_hw(h, w, kernel, stride, padding)
     if oh < 1 or ow < 1:
         raise ValueError("zero-sized pool output")
 
-    xp = np.pad(x.data, ((0, 0), (0, 0), (ph, ph), (pw, pw))) if (ph or pw) else x.data
-    win = _windows(xp, (kh, kw), (sh, sw), (1, 1))
-    sums = win.sum(axis=(4, 5))
-    ones = np.ones((1, 1, h, w))
-    onesp = np.pad(ones, ((0, 0), (0, 0), (ph, ph), (pw, pw))) if (ph or pw) else ones
-    counts = _windows(onesp, (kh, kw), (sh, sw), (1, 1)).sum(axis=(4, 5))
+    xp = _pad(x.data, padding)
+    sums = _windows(xp, kernel, stride, (1, 1)).sum(axis=(4, 5))
+    onesp = _pad(np.ones((1, 1, h, w)), padding)
+    counts = _windows(onesp, kernel, stride, (1, 1)).sum(axis=(4, 5))
     if (counts == 0).any():
         raise ValueError("pool window without any valid cell (padding too large)")
     out = sums / counts
@@ -746,15 +763,7 @@ def avg_pool(x, kernel, stride=None, padding=0):
 
     def bwd(g):
         gn = g / counts
-        gxp = np.zeros_like(xp)
-        for i in range(kh):
-            hs = slice(i, i + sh * oh, sh)
-            for j in range(kw):
-                ws = slice(j, j + sw * ow, sw)
-                gxp[:, :, hs, ws] += gn
-        if ph or pw:
-            gxp = gxp[:, :, ph : ph + h, pw : pw + w]
-        _acc(x, gxp)
+        _acc(x, _scatter_taps(xp, lambda i, j: gn, kernel, stride, (1, 1), padding))
 
     return _record(out, (x,), bwd)
 

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 import lka_seg.engine as E
-from oracles import conv2d_naive, expand_kernel, rel_err
+from lka_seg.context import POOL_SCALES
+from oracles import avg_pool_naive, conv2d_naive, expand_kernel, rel_err
 
 
 def test_scalar_product():
@@ -169,8 +170,7 @@ class TestConvErrors:
 
 def test_conv_spec_invariants():
     spec = E.ConvSpec(kernel=(1, 11), dilation=(1, 3))
-    assert spec.extent() == (1, 31)
-    assert spec.out_hw(8, 38) == (8, 8)
+    assert spec.kernel == (1, 11) and spec.dilation == (1, 3)
     with pytest.raises(ValueError):
         E.ConvSpec(kernel=0)
     with pytest.raises(ValueError):
@@ -179,21 +179,111 @@ def test_conv_spec_invariants():
         E.ConvSpec(kernel=3, padding=-1)
 
 
-def test_conv_accepts_spec_object():
-    rng = np.random.default_rng(2)
-    x = rng.normal(size=(1, 4, 9, 9))
-    w = rng.normal(size=(4, 2, 3, 3))
-    spec = E.ConvSpec(kernel=3, stride=2, dilation=2, padding=2, groups=2)
-    a = E.conv2d(E.Tensor(x), E.Tensor(w), spec=spec)
-    b = E.conv2d(E.Tensor(x), E.Tensor(w), stride=2, padding=2, dilation=2,
-                 groups=2)
-    np.testing.assert_array_equal(a.data, b.data)
+# Every conv geometry the toy model runs: kernel, stride, padding, dilation,
+# depthwise (groups = channels) or dense.
+MODEL_CONVS = [
+    ((3, 3), (1, 1), (1, 1), (1, 1), False),
+    ((3, 3), (2, 2), (1, 1), (1, 1), False),
+    ((3, 3), (1, 1), (2, 2), (2, 2), False),
+    ((3, 3), (1, 1), (1, 1), (1, 1), True),
+    ((5, 5), (1, 1), (2, 2), (1, 1), True),
+    ((5, 5), (1, 1), (2, 2), (1, 1), False),
+    ((1, 11), (1, 1), (0, 15), (1, 3), True),
+    ((11, 1), (1, 1), (15, 0), (3, 1), True),
+    ((7, 7), (1, 1), (3, 3), (1, 1), False),
+    ((1, 1), (1, 1), (0, 0), (1, 1), False),
+    ((1, 1), (1, 1), (0, 0), (1, 1), True),
+]
 
-    wd = rng.normal(size=(4, 1, 1, 5))
-    dspec = E.ConvSpec(kernel=(1, 5), padding=(0, 2), groups=4)
-    c = E.depthwise(E.Tensor(x), E.Tensor(wd), spec=dspec)
-    d = E.depthwise(E.Tensor(x), E.Tensor(wd), padding=(0, 2))
-    np.testing.assert_array_equal(c.data, d.data)
-    with pytest.raises(ValueError, match="groups"):
-        E.depthwise(E.Tensor(x), E.Tensor(wd),
-                    spec=E.ConvSpec(kernel=(1, 5), groups=2))
+
+def _conv_case(rng, geometry, x):
+    kernel, stride, padding, dilation, dw = geometry
+    cin = x.shape[1]
+    groups = cin if dw else 1
+    cout = cin if dw else 3
+    w = rng.normal(size=(cout, cin // groups, *kernel))
+    b = rng.normal(size=(cout,))
+    return w, b, dict(stride=stride, padding=padding, dilation=dilation, groups=groups)
+
+
+@pytest.mark.parametrize("geometry", MODEL_CONVS)
+def test_model_conv_geometries_match_oracle(geometry):
+    rng = np.random.default_rng(21)
+    x = rng.normal(size=(2, 4, 10, 9))
+    w, b, kw = _conv_case(rng, geometry, x)
+    xt, wt, bt = E.Parameter(x), E.Parameter(w), E.Parameter(b)
+    out = E.conv2d(xt, wt, bt, **kw)
+    ref = conv2d_naive(x, w, b, kw["stride"], kw["padding"], kw["dilation"],
+                       kw["groups"])
+    assert rel_err(out.data, ref) < 1e-12
+    # conv is linear in x and in w, so <conv(x, w) - b, d> equals both
+    # <x, dL/dx> and <w, dL/dw> for L = <conv(x, w), d>
+    d = rng.normal(size=ref.shape)
+    E.sum_all(E.mul(out, E.Tensor(d))).backward()
+    inner = float(((ref - b[None, :, None, None]) * d).sum())
+    assert abs(float((x * xt.grad).sum()) - inner) < 1e-12 * np.abs(ref * d).sum()
+    assert abs(float((w * wt.grad).sum()) - inner) < 1e-12 * np.abs(ref * d).sum()
+    np.testing.assert_allclose(bt.grad, d.sum(axis=(0, 2, 3)), rtol=1e-12)
+
+
+@pytest.mark.parametrize("scale", POOL_SCALES)
+def test_model_pool_geometries_match_oracle(scale):
+    k, s, p = scale
+    rng = np.random.default_rng(22)
+    x = rng.normal(size=(2, 3, 12, 10))
+    xt = E.Parameter(x)
+    out = E.avg_pool(xt, k, s, p)
+    ref = avg_pool_naive(x, (k, k), (s, s), (p, p))
+    assert rel_err(out.data, ref) < 1e-12
+    d = rng.normal(size=ref.shape)
+    E.sum_all(E.mul(out, E.Tensor(d))).backward()
+    inner = float((ref * d).sum())
+    assert abs(float((x * xt.grad).sum()) - inner) < 1e-12 * np.abs(ref * d).sum()
+
+
+def _forward_backward(op, *leaves):
+    out = op(*leaves)
+    d = np.linspace(-1.0, 1.0, out.data.size).reshape(out.data.shape)
+    E.sum_all(E.mul(out, E.Tensor(d))).backward()
+    return out.data
+
+
+@pytest.mark.parametrize("padding", [(0, 0), (2, 1)])
+@pytest.mark.parametrize("dw", [False, True])
+def test_non_contiguous_input_matches_contiguous_copy(padding, dw):
+    rng = np.random.default_rng(23)
+    c = 3
+    wdata = rng.normal(size=(c, 1 if dw else c, 3, 3))
+    ops = (
+        lambda x, w: E.conv2d(x, w, padding=padding, dilation=(2, 1),
+                              groups=c if dw else 1),
+        lambda x, _: E.avg_pool(x, 3, 2, padding),
+    )
+    for op in ops:
+        # a channel slice of a wider map, and a transposed array
+        full = E.Parameter(rng.normal(size=(2, c + 2, 9, 8)))
+        sliced = E.channel_slice(full, 1, 1 + c)
+        transposed = E.Parameter(rng.normal(size=(8, 9, c, 2)).transpose(3, 2, 1, 0))
+        for x, x_grad in ((sliced, lambda: full.grad[:, 1:1 + c]),
+                          (transposed, lambda: transposed.grad)):
+            assert not x.data.flags.c_contiguous
+            w = E.Parameter(wdata)
+            out = _forward_backward(op, x, w)
+            xc, wc = E.Parameter(np.ascontiguousarray(x.data)), E.Parameter(wdata)
+            assert np.array_equal(out, _forward_backward(op, xc, wc))
+            assert np.array_equal(x_grad(), xc.grad)
+            assert (w.grad is None and wc.grad is None) or np.array_equal(w.grad, wc.grad)
+
+
+def test_window_view_is_read_only():
+    xp = E._pad(np.arange(2 * 3 * 5 * 6, dtype=float).reshape(2, 3, 5, 6), (1, 2))
+    win = E._windows(xp, (3, 2), (2, 1), (1, 3))
+    assert win.shape == (2, 3, 3, 7, 3, 2)
+    assert not win.flags.writeable
+    with pytest.raises(ValueError):
+        win[0, 0, 0, 0, 0, 0] = 1.0
+    # tap (i, j) of output (y, x) reads xp[y * sh + i * dh, x * sw + j * dw]
+    assert win[1, 2, 2, 4, 1, 1] == xp[1, 2, 2 * 2 + 1, 4 + 3]
+    # strides come from the array itself, whatever its layout
+    t = np.asfortranarray(xp)
+    assert np.array_equal(E._windows(t, (3, 2), (2, 1), (1, 3)), win)
