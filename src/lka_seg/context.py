@@ -28,7 +28,6 @@ from .blocks import (
     STRIP_LEN,
     _SMALL_PAD,
     _STRIP_PAD,
-    large_kernel_chain,
 )
 from .nn import Conv2d, Module, ModuleList, bn_act_conv
 
@@ -166,7 +165,3 @@ class PyramidPooling(Module):
         records.extend(recs)
         records.append(costs.elemwise_cost(f"{p}.residual", oshape)[0])
         return records, oshape
-
-    def gate_chain(self):
-        """2-D kernel chain of the attention gate (dlkppm style)."""
-        return large_kernel_chain()

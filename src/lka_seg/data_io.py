@@ -14,6 +14,7 @@ All writes go through a temp file plus rename.
 
 from __future__ import annotations
 
+import math
 import os
 import struct
 import zlib
@@ -58,7 +59,7 @@ class CheckpointCrcError(CheckpointError):
 
 
 class CheckpointManifestError(CheckpointError):
-    """Checkpoint entries do not match the target model."""
+    """Checkpoint entries are malformed or do not match the target model."""
 
 
 @dataclass(frozen=True)
@@ -379,12 +380,20 @@ def save_checkpoint(model, path):
 
 
 def load_checkpoint(path):
-    """Parse a checkpoint; returns {name: (array, trainable)} in file order."""
+    """Parse a checkpoint; returns {name: (array, trainable)} in file order.
+
+    Entries must have unique names and tile the payload exactly, each
+    starting where the previous one ends, as `save_checkpoint` writes
+    them; anything else raises `CheckpointManifestError`.
+    """
     with open(path, "rb") as fh:
         raw = fh.read()
     if raw[:4] != CHECKPOINT_MAGIC:
         raise CheckpointError(f"{path}: bad magic {raw[:4]!r}")
-    version, count = struct.unpack_from("<II", raw, 4)
+    try:
+        version, count = struct.unpack_from("<II", raw, 4)
+    except struct.error as err:
+        raise CheckpointError(f"{path}: truncated header") from err
     if version != CHECKPOINT_VERSION:
         raise CheckpointVersionError(
             f"{path}: version {version}, expected {CHECKPOINT_VERSION}"
@@ -395,7 +404,11 @@ def load_checkpoint(path):
         for _ in range(count):
             (nlen,) = struct.unpack_from("<H", raw, pos)
             pos += 2
-            name = raw[pos:pos + nlen].decode("utf-8")
+            try:
+                name = raw[pos:pos + nlen].decode("utf-8")
+            except UnicodeDecodeError as err:
+                raise CheckpointManifestError(
+                    f"{path}: entry name at byte {pos} is not UTF-8") from err
             pos += nlen
             trainable, ndim = struct.unpack_from("<BB", raw, pos)
             pos += 2
@@ -415,11 +428,23 @@ def load_checkpoint(path):
     if zlib.crc32(payload) != crc:
         raise CheckpointCrcError(f"{path}: payload CRC mismatch")
     out = {}
+    end = 0  # in float64s
     for name, shape, trainable, offset in entries:
-        size = int(np.prod(shape, dtype=np.int64)) if shape else 1
-        arr = np.frombuffer(payload, dtype="<f8", count=size,
+        if name in out:
+            raise CheckpointManifestError(f"{path}: duplicate entry {name!r}")
+        if offset != end:
+            raise CheckpointManifestError(
+                f"{path}: entry {name!r} at offset {offset}, expected {end}")
+        end += math.prod(shape)
+        if 8 * end > payload_len:
+            raise CheckpointManifestError(
+                f"{path}: entry {name!r} runs past the {payload_len}-byte payload")
+        arr = np.frombuffer(payload, dtype="<f8", count=end - offset,
                             offset=offset * 8).reshape(shape)
         out[name] = (arr.astype(np.float64), trainable)
+    if 8 * end != payload_len:
+        raise CheckpointManifestError(
+            f"{path}: entries cover {8 * end} of {payload_len} payload bytes")
     return out
 
 

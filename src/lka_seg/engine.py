@@ -41,7 +41,6 @@ __all__ = [
     "ConvSpec",
     "no_grad",
     "flop_meter",
-    "backward",
     "add",
     "sub",
     "mul",
@@ -152,12 +151,21 @@ class ConvSpec:
             raise ValueError(f"groups must be >= 1, got {self.groups}")
 
 
+class NonFiniteError(ValueError):
+    """A tensor or loss holds NaN or Inf.
+
+    Not listed in `__all__`: `perfbench/tracer.py` wraps every callable
+    named there, apart from its own list of non-ops, as a tensor op.
+    """
+
+
 class Tensor:
     """A numpy-backed value on the autodiff tape.
 
     Feature maps are 4-D (n, c, h, w); parameters may be lower rank.
     Data is always float64 and must be finite; non-finite values are
-    rejected at construction, i.e. at every operation boundary.
+    rejected with `NonFiniteError` at construction, i.e. at every
+    operation boundary.
     """
 
     __slots__ = ("data", "grad", "requires_grad", "_parents", "_bwd", "_done")
@@ -165,7 +173,7 @@ class Tensor:
     def __init__(self, data, requires_grad=False):
         arr = np.asarray(data, dtype=np.float64)
         if not np.isfinite(arr).all():
-            raise ValueError("tensor holds non-finite values (NaN or Inf)")
+            raise NonFiniteError("tensor holds non-finite values (NaN or Inf)")
         self.data = arr
         self.grad = None
         self.requires_grad = requires_grad
@@ -269,11 +277,6 @@ class Parameter(Tensor):
 
     def __init__(self, data):
         super().__init__(data, requires_grad=True)
-
-
-def backward(loss):
-    """Spec-surface alias for `loss.backward()`."""
-    loss.backward()
 
 
 def _as_tensor(v):

@@ -180,24 +180,6 @@ class ReLU(Module):
         return [rec], out
 
 
-class GELU(Module):
-    def forward(self, x, mode="eval"):
-        return E.gelu(x)
-
-    def cost(self, in_shape, prefix=""):
-        rec, out = costs.act_cost(prefix or "gelu", in_shape)
-        return [rec], out
-
-
-class Sigmoid(Module):
-    def forward(self, x, mode="eval"):
-        return E.sigmoid(x)
-
-    def cost(self, in_shape, prefix=""):
-        rec, out = costs.act_cost(prefix or "sigmoid", in_shape)
-        return [rec], out
-
-
 def conv_bn(cin, cout, kernel, rng, stride=1, padding=0, dilation=1, groups=1,
             act=True):
     """Conv (no bias) + BN (+ ReLU), the standard backbone unit."""

@@ -17,6 +17,7 @@ from __future__ import annotations
 import csv
 import io
 import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -37,7 +38,6 @@ __all__ = [
     "miou",
     "evaluate",
     "train_model",
-    "downsample_mask_any",
 ]
 
 
@@ -256,15 +256,6 @@ def miou(cm: ConfusionMatrix):
     return per_class, mean
 
 
-def downsample_mask_any(mask, factor):
-    """(n, h, w) binary mask -> (n, 1, h/f, w/f); tile is 1 if any pixel is."""
-    n, h, w = mask.shape
-    if h % factor or w % factor:
-        raise ValueError(f"mask dims {h}x{w} not divisible by {factor}")
-    view = mask.reshape(n, h // factor, factor, w // factor, factor)
-    return view.max(axis=(2, 4)).astype(np.float64)[:, None]
-
-
 def boundary_target_at_scale(labels, factor, radius=1):
     """Tile-level boundary target for a 1/factor-resolution boundary head.
 
@@ -382,8 +373,6 @@ def evaluate(model, dataset, class_count, batch_size=8, ignore_index=255,
 
     chunks = [dataset[i:i + batch_size] for i in range(0, len(dataset), batch_size)]
     if threads > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
         with ThreadPoolExecutor(max_workers=threads) as pool:
             results = list(pool.map(run_chunk, chunks))
     else:
@@ -404,13 +393,25 @@ def history_csv(history):
     return buf.getvalue()
 
 
+def _land(staged):
+    """Rename each (staged, final) pair into place, in order."""
+    for src, dst in staged:
+        os.replace(src, dst)
+
+
 def train_model(model, train_data, val_data, cfg: TrainConfig, out_dir=None,
                 log=None):
     """Run the full loop; returns the per-epoch metric history.
 
     When `out_dir` is given, writes metrics.csv plus best.ckpt/last.ckpt
-    (best by validation mIoU). Aborts with `NumericalAbort` on the first
-    non-finite loss, naming the first non-finite parameter or gradient.
+    (best by validation mIoU). Each epoch serializes its checkpoints to
+    `<name>.staged` files and a background thread renames them into
+    place, so the training steps do not wait on the file system. All
+    three files are on disk when this returns. A failed checkpoint write
+    raises `OSError` no later than the next epoch's save or the return;
+    on any error, the checkpoints of earlier epochs are in place when it
+    propagates. Aborts with `NumericalAbort` on the first non-finite
+    loss, naming the first non-finite parameter or gradient.
     """
     from .data_io import save_checkpoint
 
@@ -430,60 +431,77 @@ def train_model(model, train_data, val_data, cfg: TrainConfig, out_dir=None,
     if out_dir:
         os.makedirs(out_dir, exist_ok=True)
 
-    for epoch in range(cfg.epochs):
-        perm = rng.permutation(n)
-        epoch_loss = 0.0
-        lr = cfg.base_lr
-        for s in range(steps):
-            idx = perm[s * cfg.batch_size:(s + 1) * cfg.batch_size]
-            images, labels, boundary = _collate([train_data[i] for i in idx])
-            images, labels, boundary = _augment(images, labels, boundary, rng, cfg)
-            lr = poly_lr(cfg.base_lr, it, max_iter, cfg.poly_power)
+    with ThreadPoolExecutor(max_workers=1) as renames:
+        landing = None
+        for epoch in range(cfg.epochs):
+            perm = rng.permutation(n)
+            epoch_loss = 0.0
+            lr = cfg.base_lr
+            for s in range(steps):
+                idx = perm[s * cfg.batch_size:(s + 1) * cfg.batch_size]
+                images, labels, boundary = _collate([train_data[i] for i in idx])
+                images, labels, boundary = _augment(images, labels, boundary,
+                                                    rng, cfg)
+                lr = poly_lr(cfg.base_lr, it, max_iter, cfg.poly_power)
 
-            try:
-                out = model(E.Tensor(images), "train")
-                seg_cfg = OhemConfig(
-                    cfg.ohem_threshold,
-                    max(1, int(labels.size * cfg.ohem_min_kept_frac)),
-                )
-                loss = ohem_cross_entropy(out.seg_logits, labels, seg_cfg,
-                                          cfg.ignore_index)
-                if out.aux_logits is not None and cfg.aux_weight:
-                    aux = ohem_cross_entropy(out.aux_logits, labels, seg_cfg,
-                                             cfg.ignore_index)
-                    loss = E.add(loss, E.mul(aux, cfg.aux_weight))
-                if out.boundary_logits is not None and cfg.boundary_weight:
-                    target = boundary_target_at_scale(
-                        labels, images.shape[2] // out.boundary_logits.data.shape[2])
-                    bl = boundary_bce(out.boundary_logits, target)
-                    loss = E.add(loss, E.mul(bl, cfg.boundary_weight))
-                loss_val = loss.item()
-                if not np.isfinite(loss_val):
-                    raise ValueError("non-finite loss")
-                loss.backward()
-            except ValueError as err:
-                raise NumericalAbort(
-                    f"non-finite value at iteration {it}: first non-finite "
-                    f"{_first_nonfinite(model)} ({err})"
-                ) from err
-            opt.step(lr)
-            opt.zero_grad()
-            epoch_loss += loss_val
-            it += 1
+                try:
+                    out = model(E.Tensor(images), "train")
+                    seg_cfg = OhemConfig(
+                        cfg.ohem_threshold,
+                        max(1, int(labels.size * cfg.ohem_min_kept_frac)),
+                    )
+                    loss = ohem_cross_entropy(out.seg_logits, labels, seg_cfg,
+                                              cfg.ignore_index)
+                    if out.aux_logits is not None and cfg.aux_weight:
+                        aux = ohem_cross_entropy(out.aux_logits, labels, seg_cfg,
+                                                 cfg.ignore_index)
+                        loss = E.add(loss, E.mul(aux, cfg.aux_weight))
+                    if out.boundary_logits is not None and cfg.boundary_weight:
+                        target = boundary_target_at_scale(
+                            labels,
+                            images.shape[2] // out.boundary_logits.data.shape[2])
+                        bl = boundary_bce(out.boundary_logits, target)
+                        loss = E.add(loss, E.mul(bl, cfg.boundary_weight))
+                    loss_val = loss.item()
+                    if not np.isfinite(loss_val):
+                        raise E.NonFiniteError("non-finite loss")
+                    loss.backward()
+                except E.NonFiniteError as err:
+                    raise NumericalAbort(
+                        f"non-finite value at iteration {it}: first non-finite "
+                        f"{_first_nonfinite(model)} ({err})"
+                    ) from err
+                opt.step(lr)
+                opt.zero_grad()
+                epoch_loss += loss_val
+                it += 1
 
-        _, val_miou = evaluate(model, val_data, k, cfg.val_batch,
-                               cfg.ignore_index) if val_data else (None, 0.0)
-        row = {"epoch": epoch, "loss": epoch_loss / steps, "miou": val_miou,
-               "lr": lr}
-        history.append(row)
-        if log:
-            log(f"epoch={epoch} loss={row['loss']:.6f} miou={row['miou']:.6f} "
-                f"lr={row['lr']:.6g}")
-        if out_dir:
-            if val_miou >= best:
-                best = val_miou
-                save_checkpoint(model, os.path.join(out_dir, "best.ckpt"))
-            save_checkpoint(model, os.path.join(out_dir, "last.ckpt"))
+            _, val_miou = evaluate(model, val_data, k, cfg.val_batch,
+                                   cfg.ignore_index) if val_data else (None, 0.0)
+            row = {"epoch": epoch, "loss": epoch_loss / steps, "miou": val_miou,
+                   "lr": lr}
+            history.append(row)
+            if log:
+                log(f"epoch={epoch} loss={row['loss']:.6f} "
+                    f"miou={row['miou']:.6f} lr={row['lr']:.6g}")
+            if out_dir:
+                # A rename onto an existing file can wait on writeback; it
+                # runs behind the next epoch. Both files are staged before
+                # either rename starts, so no write here waits on it.
+                if landing:
+                    landing.result()
+                names = ["last.ckpt"]
+                if val_miou >= best:
+                    best = val_miou
+                    names.insert(0, "best.ckpt")
+                staged = []
+                for name in names:
+                    final = os.path.join(out_dir, name)
+                    save_checkpoint(model, final + ".staged")
+                    staged.append((final + ".staged", final))
+                landing = renames.submit(_land, staged)
+        if landing:
+            landing.result()
 
     if out_dir:
         tmp = os.path.join(out_dir, "metrics.csv.tmp")

@@ -1,4 +1,6 @@
-"""Shared test utilities: finite-difference gradient checking."""
+"""Shared test utilities: finite-difference gradient checking, checkpoint edits."""
+
+import struct
 
 import numpy as np
 
@@ -55,3 +57,19 @@ def randomize_norms(module, rng):
             b += rng.normal(0.0, 0.1, size=b.shape)
         elif name.endswith("running_var"):
             b *= rng.uniform(0.7, 1.4, size=b.shape)
+
+
+def set_first_offset(blob, offset):
+    """Rewrite the first manifest entry's payload offset in a checkpoint.
+
+    The payload and its CRC are untouched, so only manifest checks can
+    catch the edit.
+    """
+    blob = bytearray(blob)
+    pos = 12  # magic, version, entry count
+    (nlen,) = struct.unpack_from("<H", blob, pos)
+    pos += 2 + nlen
+    ndim = blob[pos + 1]
+    pos += 2 + 4 * ndim
+    struct.pack_into("<Q", blob, pos, offset)
+    return bytes(blob)

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from lka_seg.cli import main
+from helpers import set_first_offset
 
 TOY_CONFIG = {
     "version": 1,
@@ -110,6 +111,25 @@ class TestTrain:
             b = open(os.path.join(outs[1], name), "rb").read()
             assert a == b, name
 
+    def test_label_outside_classes_exits_2(self, tmp_path, capsys):
+        data = synth(tmp_path, count=8, classes=5)
+        cfg = write_config(tmp_path, TINY_CONFIG)  # 3 classes
+        rc = main(["train", "--config", cfg, "--data", data,
+                   "--out", str(tmp_path / "run"), "--val-count", "2"])
+        assert rc == 2
+        assert "outside [0, 3)" in capsys.readouterr().err
+
+    def test_checkpoint_write_failure_exits_4(self, tmp_path, capsys):
+        data = synth(tmp_path, count=8, classes=3)
+        cfg = write_config(tmp_path, TINY_CONFIG)
+        out = tmp_path / "run"
+        (out / "last.ckpt").mkdir(parents=True)
+        (out / "last.ckpt" / "keep").write_text("x")
+        rc = main(["train", "--config", cfg, "--data", data, "--out", str(out),
+                   "--val-count", "2"])
+        assert rc == 4
+        assert "io error" in capsys.readouterr().err
+
     def test_unknown_config_key_exits_2(self, tmp_path, capsys):
         doc = dict(TINY_CONFIG)
         doc["optimizer"] = "adam"
@@ -165,6 +185,16 @@ class TestEvalInfer:
         open(bad, "wb").write(bytes(blob))
         rc = main(["eval", "--config", cfg, "--ckpt", bad, "--data", data])
         assert rc == 4
+
+    @pytest.mark.parametrize("offset", [1, 10**9])
+    def test_bad_manifest_offset_exits_4(self, trained, tmp_path, capsys,
+                                         offset):
+        data, cfg, ckpt = trained
+        bad = tmp_path / "bad.ckpt"
+        bad.write_bytes(set_first_offset(open(ckpt, "rb").read(), offset))
+        rc = main(["eval", "--config", cfg, "--ckpt", str(bad), "--data", data])
+        assert rc == 4
+        assert "offset" in capsys.readouterr().err
 
     def test_missing_checkpoint_exits_4(self, trained, capsys):
         data, cfg, _ = trained

@@ -1,5 +1,8 @@
 """Synthetic data determinism, boundary masks, Netpbm and checkpoint formats."""
 
+import struct
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -27,6 +30,7 @@ from lka_seg.data_io import (
     write_ppm,
 )
 from lka_seg.model import ModelConfig, build_model
+from helpers import set_first_offset
 
 
 SMALL_MODEL = ModelConfig(class_count=2, stem_width=4, low_width=4, mid_width=4,
@@ -218,6 +222,55 @@ class TestCheckpoint:
         blob[4] = 99
         path.write_bytes(bytes(blob))
         with pytest.raises(CheckpointVersionError):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("offset", [1, 10**9])
+    def test_bad_entry_offset_rejected(self, tmp_path, offset):
+        model = build_model(SMALL_MODEL, seed=4)
+        path = tmp_path / "m.ckpt"
+        save_checkpoint(model, path)
+        path.write_bytes(set_first_offset(path.read_bytes(), offset))
+        with pytest.raises(CheckpointManifestError, match="offset"):
+            load_checkpoint(path)
+
+    @staticmethod
+    def _stub(tmp_path, entries):
+        """Checkpoint of a stand-in model holding `entries` (name, array)."""
+        model = SimpleNamespace(
+            named_parameters=lambda: [(n, SimpleNamespace(data=a))
+                                      for n, a in entries],
+            named_buffers=lambda: [])
+        path = tmp_path / "stub.ckpt"
+        save_checkpoint(model, path)
+        return path
+
+    def test_duplicate_entry_rejected(self, tmp_path):
+        path = self._stub(tmp_path, [("w", np.zeros(2)), ("w", np.ones(2))])
+        with pytest.raises(CheckpointManifestError, match="duplicate entry 'w'"):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("dim, match", [(1, "cover 8 of 16"),
+                                            (3, "runs past")])
+    def test_entry_sizes_must_tile_payload(self, tmp_path, dim, match):
+        path = self._stub(tmp_path, [("w", np.arange(2.0))])
+        blob = bytearray(path.read_bytes())
+        struct.pack_into("<I", blob, 12 + 2 + 1 + 2, dim)  # w's only extent
+        path.write_bytes(bytes(blob))
+        with pytest.raises(CheckpointManifestError, match=match):
+            load_checkpoint(path)
+
+    def test_entry_name_not_utf8(self, tmp_path):
+        path = self._stub(tmp_path, [("w", np.zeros(2))])
+        blob = bytearray(path.read_bytes())
+        blob[12 + 2] = 0xFF  # the name "w"
+        path.write_bytes(bytes(blob))
+        with pytest.raises(CheckpointManifestError, match="not UTF-8"):
+            load_checkpoint(path)
+
+    def test_truncated_header(self, tmp_path):
+        path = tmp_path / "m.ckpt"
+        path.write_bytes(b"LKAS\x01")
+        with pytest.raises(CheckpointError, match="truncated header"):
             load_checkpoint(path)
 
     def test_manifest_mismatch_names_entry(self, tmp_path):

@@ -1,12 +1,15 @@
 """Losses, schedule, optimizer, metrics, and loop behavior."""
 
+import dataclasses
 import math
+import os
+import threading
 
 import numpy as np
 import pytest
 
 import lka_seg.engine as E
-from lka_seg.data_io import SynthSpec, synth_dataset
+from lka_seg.data_io import SynthSpec, save_checkpoint, synth_dataset
 from lka_seg.model import ModelConfig, build_model
 from lka_seg.training import (
     ConfusionMatrix,
@@ -16,7 +19,6 @@ from lka_seg.training import (
     TrainConfig,
     boundary_bce,
     cross_entropy,
-    downsample_mask_any,
     evaluate,
     history_csv,
     miou,
@@ -298,14 +300,6 @@ class TestMiou:
         assert cm.total() == 1
 
 
-def test_downsample_mask_any():
-    mask = np.zeros((1, 8, 8), dtype=np.uint8)
-    mask[0, 3, 5] = 1
-    out = downsample_mask_any(mask, 4)
-    assert out.shape == (1, 1, 2, 2)
-    np.testing.assert_array_equal(out[0, 0], [[0, 1], [0, 0]])
-
-
 class TestTrainLoop:
     def test_lr_zero_leaves_parameters_unchanged(self):
         model = build_model(TINY_MODEL, seed=0)
@@ -337,6 +331,13 @@ class TestTrainLoop:
         data = tiny_data(4)
         cfg = TrainConfig(epochs=1, batch_size=4, base_lr=0.01, seed=0)
         with pytest.raises(NumericalAbort, match="parameter|gradient"):
+            train_model(model, data, data, cfg)
+
+    def test_bad_label_is_not_numerical(self):
+        model = build_model(TINY_MODEL, seed=0)
+        data = tiny_data(4, k=5)
+        cfg = TrainConfig(epochs=1, batch_size=4, base_lr=0.01, seed=0)
+        with pytest.raises(ValueError, match="outside"):  # not NumericalAbort
             train_model(model, data, data, cfg)
 
     def test_empty_dataset_rejected(self):
@@ -377,3 +378,55 @@ def test_evaluate_on_tiny_model():
     assert 0.0 <= mean <= 1.0
     per2, mean2 = evaluate(model, data, 3, batch_size=3, threads=2)
     assert abs(mean - mean2) < 1e-15
+
+
+class TestCheckpointWrites:
+    CFG = TrainConfig(epochs=2, batch_size=4, base_lr=0.05, seed=0)
+
+    def test_last_checkpoint_is_returned_model(self, tmp_path):
+        model = build_model(TINY_MODEL, seed=0)
+        data = tiny_data(6)
+        threads = threading.active_count()
+        train_model(model, data[:4], data[4:], self.CFG, out_dir=str(tmp_path))
+        assert threading.active_count() == threads
+        save_checkpoint(model, tmp_path / "expected.ckpt")
+        assert ((tmp_path / "last.ckpt").read_bytes()
+                == (tmp_path / "expected.ckpt").read_bytes())
+        assert sorted(os.listdir(tmp_path)) == [
+            "best.ckpt", "expected.ckpt", "last.ckpt", "metrics.csv"]
+
+    @pytest.mark.parametrize("epochs", [1, 3])
+    def test_rename_failure_raises(self, tmp_path, epochs):
+        (tmp_path / "last.ckpt").mkdir()
+        (tmp_path / "last.ckpt" / "keep").write_text("x")
+        model = build_model(TINY_MODEL, seed=0)
+        data = tiny_data(4)
+        cfg = dataclasses.replace(self.CFG, epochs=epochs)
+        lines = []
+        threads = threading.active_count()
+        with pytest.raises(OSError):
+            train_model(model, data, data, cfg, out_dir=str(tmp_path),
+                        log=lines.append)
+        assert threading.active_count() == threads
+        # epoch 0's failed write surfaces no later than epoch 1's save
+        assert len(lines) <= 2
+
+    @pytest.mark.filterwarnings("ignore:invalid value encountered")
+    def test_abort_leaves_earlier_checkpoints(self, tmp_path):
+        model = build_model(TINY_MODEL, seed=0)
+        data = tiny_data(4)
+
+        def poison_after_first_epoch(line):
+            # the model is final for epoch 0 here; its checkpoints follow
+            if line.startswith("epoch=0 "):
+                save_checkpoint(model, tmp_path / "epoch0.ckpt")
+                data[:] = [dataclasses.replace(d, image=np.full_like(d.image, np.nan))
+                           for d in data]
+
+        with pytest.raises(NumericalAbort):
+            train_model(model, data, [], self.CFG, out_dir=str(tmp_path),
+                        log=poison_after_first_epoch)
+        expected = (tmp_path / "epoch0.ckpt").read_bytes()
+        assert (tmp_path / "best.ckpt").read_bytes() == expected
+        assert (tmp_path / "last.ckpt").read_bytes() == expected
+        assert not list(tmp_path.glob("*.staged")) and not list(tmp_path.glob("*.tmp"))
