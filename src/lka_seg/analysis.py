@@ -6,7 +6,7 @@ independent cross-check, and the acceptance suite holds the two to exact
 integer equality. `count_params` counts trainable scalars only (conv
 weights and biases, norm affine terms); norm running statistics are
 excluded. Latency numbers are host-CPU wall clock and carry enough
-metadata (shape, thread count, host) not to be mistaken for GPU figures.
+metadata (shape, host) not to be mistaken for GPU figures.
 """
 
 from __future__ import annotations
@@ -57,11 +57,10 @@ class BenchReport:
     fps: float
     input_shape: tuple
     iters: int
-    threads: int
     host: str
 
 
-def bench_latency(model, input_shape, warmup=3, iters=10, threads=1, seed=0):
+def bench_latency(model, input_shape, warmup=3, iters=10, seed=0):
     """Wall-clock eval-mode forwards after warmup; FPS = 1000 / mean_ms."""
     if iters < 1:
         raise ValueError(f"iters must be >= 1, got {iters}")
@@ -84,7 +83,6 @@ def bench_latency(model, input_shape, warmup=3, iters=10, threads=1, seed=0):
         fps=1000.0 / mean,
         input_shape=tuple(input_shape),
         iters=iters,
-        threads=threads,
         host=f"{platform.machine()} cpython-{platform.python_version()} "
              f"numpy-{np.__version__}",
     )

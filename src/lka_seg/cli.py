@@ -13,6 +13,7 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import fields
 
 import numpy as np
 
@@ -33,8 +34,27 @@ class ConfigError(ValueError):
     pass
 
 
-_MODEL_KEYS = {f.name for f in ModelConfig.__dataclass_fields__.values()} | {"preset"}
-_TRAIN_KEYS = set(TrainConfig.__dataclass_fields__)
+_MODEL_DEFAULTS = {f.name: f.default for f in fields(ModelConfig)} | {"preset": ""}
+_TRAIN_DEFAULTS = {f.name: f.default for f in fields(TrainConfig)}
+_SPEC_DEFAULTS = {f.name: f.default for f in fields(data_io.SynthSpec)}
+# JSON types a field accepts, by the type of its default; a bool is no int
+_JSON_TYPES = {bool: bool, int: int, float: (int, float), str: str}
+
+
+def _section(where, doc, defaults):
+    """Copy of a JSON object whose keys and value types match `defaults`."""
+    if not isinstance(doc, dict):
+        raise ConfigError(f"{where} must be an object, got {doc!r}")
+    unknown = set(doc) - set(defaults)
+    if unknown:
+        raise ConfigError(f"{where}: unknown keys {sorted(unknown)}")
+    for key, value in doc.items():
+        want = type(defaults[key])
+        if (isinstance(value, bool) != (want is bool)
+                or not isinstance(value, _JSON_TYPES[want])):
+            raise ConfigError(
+                f"{where}: {key} must be a JSON {want.__name__}, got {value!r}")
+    return dict(doc)
 
 
 def load_config(path, overrides=None):
@@ -46,8 +66,7 @@ def load_config(path, overrides=None):
         raise ConfigError(f"{path}: invalid JSON ({err})") from err
     if not isinstance(doc, dict):
         raise ConfigError(f"{path}: top level must be an object")
-    known = {"version", "model", "train", "seed"}
-    unknown = set(doc) - known
+    unknown = set(doc) - {"version", "model", "train"}
     if unknown:
         raise ConfigError(f"{path}: unknown keys {sorted(unknown)}")
     if doc.get("version") != CONFIG_VERSION:
@@ -55,15 +74,8 @@ def load_config(path, overrides=None):
             f"{path}: config version must be {CONFIG_VERSION}, got {doc.get('version')!r}"
         )
 
-    model_doc = dict(doc.get("model", {}))
-    train_doc = dict(doc.get("train", {}))
-    for name, keys in (("model", _MODEL_KEYS), ("train", _TRAIN_KEYS)):
-        section = model_doc if name == "model" else train_doc
-        unknown = set(section) - keys
-        if unknown:
-            raise ConfigError(f"{path}: unknown {name} keys {sorted(unknown)}")
-    if "seed" in doc:
-        train_doc.setdefault("seed", doc["seed"])
+    model_doc = _section(f"{path} model", doc.get("model", {}), _MODEL_DEFAULTS)
+    train_doc = _section(f"{path} train", doc.get("train", {}), _TRAIN_DEFAULTS)
 
     for key, value in (overrides or {}).items():
         section, _, field = key.partition(".")
@@ -106,32 +118,23 @@ def _build_from_args(args):
     return build_model(model_cfg, train_cfg.seed), model_cfg, train_cfg
 
 
-_SPEC_KEYS = set(data_io.SynthSpec.__dataclass_fields__)
-
-
 def cmd_synth_data(args):
-    fields = dict(
-        seed=args.seed, count=args.count, height=args.height, width=args.width,
-        class_count=args.classes, density=args.density, min_shape=args.min_shape,
-    )
+    spec_doc = {}
     if args.spec:
         try:
             with open(args.spec, "r", encoding="utf-8") as fh:
                 doc = json.load(fh)
         except json.JSONDecodeError as err:
             raise ConfigError(f"{args.spec}: invalid JSON ({err})") from err
-        unknown = set(doc) - _SPEC_KEYS
-        if unknown:
-            raise ConfigError(f"{args.spec}: unknown keys {sorted(unknown)}")
-        base = dict(doc)
-        # flags that differ from their defaults override the file
-        defaults = data_io.SynthSpec()
-        for key, value in fields.items():
-            if value != getattr(defaults, key):
-                base[key] = value
-        fields = base
+        spec_doc = _section(args.spec, doc, _SPEC_DEFAULTS)
+    # explicit flags override the spec file, which overrides SynthSpec's defaults
+    flags = dict(
+        seed=args.seed, count=args.count, height=args.height, width=args.width,
+        class_count=args.classes, density=args.density, min_shape=args.min_shape,
+    )
+    spec_doc.update((key, value) for key, value in flags.items() if value is not None)
     try:
-        spec = data_io.SynthSpec(**fields)
+        spec = data_io.SynthSpec(**spec_doc)
         spec.validate()
     except (TypeError, ValueError) as err:
         raise ConfigError(str(err)) from err
@@ -235,16 +238,12 @@ def cmd_bench(args):
     model, _, _ = _build_from_args(args)
     shape = (1, 3, args.size, args.size)
     rep = analysis.bench_latency(model, shape, warmup=args.warmup,
-                                 iters=args.iters, threads=args.threads)
-    print(f"shape {rep.input_shape} iters {rep.iters} threads {rep.threads}")
+                                 iters=args.iters)
+    print(f"shape {rep.input_shape} iters {rep.iters}")
     print(f"host {rep.host}")
     print(f"mean_ms {rep.mean_ms:.3f} p50_ms {rep.p50_ms:.3f} "
           f"p95_ms {rep.p95_ms:.3f} fps {rep.fps:.3f}")
     return EXIT_OK
-
-
-def _default_threads():
-    return int(os.environ.get("LKA_SEG_THREADS", "1"))
 
 
 def build_parser():
@@ -257,13 +256,13 @@ def build_parser():
     p = sub.add_parser("synth-data", help="generate a synthetic dataset")
     p.add_argument("--out", required=True)
     p.add_argument("--spec", help="JSON file with dataset fields; flags override")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--count", type=int, default=64)
-    p.add_argument("--height", type=int, default=64)
-    p.add_argument("--width", type=int, default=64)
-    p.add_argument("--classes", type=int, default=5)
-    p.add_argument("--density", type=float, default=1.0)
-    p.add_argument("--min-shape", type=int, default=10)
+    p.add_argument("--seed", type=int)
+    p.add_argument("--count", type=int)
+    p.add_argument("--height", type=int)
+    p.add_argument("--width", type=int)
+    p.add_argument("--classes", type=int)
+    p.add_argument("--density", type=float)
+    p.add_argument("--min-shape", type=int)
     p.add_argument("--boundary-radius", type=int, default=2)
     p.set_defaults(func=cmd_synth_data)
 
@@ -283,7 +282,8 @@ def build_parser():
     p.add_argument("--ckpt", required=True)
     p.add_argument("--data", required=True)
     p.add_argument("--batch", type=int, default=8)
-    p.add_argument("--threads", type=int, default=_default_threads())
+    p.add_argument("--threads", type=int,
+                   default=int(os.environ.get("LKA_SEG_THREADS", "1")))
     p.add_argument("--ppm", choices=("dappm", "dlkppm"))
     p.add_argument("--fixed-gate", type=float)
     p.set_defaults(func=cmd_eval)
@@ -312,7 +312,6 @@ def build_parser():
     p.add_argument("--iters", type=int, default=10)
     p.add_argument("--warmup", type=int, default=3)
     p.add_argument("--size", type=int, default=64)
-    p.add_argument("--threads", type=int, default=_default_threads())
     p.set_defaults(func=cmd_bench)
 
     return parser

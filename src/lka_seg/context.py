@@ -87,8 +87,7 @@ class PyramidPooling(Module):
 
     def _degenerate(self, k, s, p, h, w):
         # the scale adds nothing once its pooled map collapses to 1x1
-        oh = (h + 2 * p - k) // s + 1
-        ow = (w + 2 * p - k) // s + 1
+        oh, ow = costs.conv_out_hw(h, w, (k, k), (s, s), (p, p), (1, 1))
         return oh <= 1 and ow <= 1
 
     def _apply_gate(self, r, mode):

@@ -22,6 +22,7 @@ pins them to exact integer equality on whole models.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from math import prod as _numel
 
 
 @dataclass
@@ -50,13 +51,6 @@ class CostReport:
     @property
     def total_params(self):
         return sum(rec.params for rec in self.layers)
-
-
-def _numel(shape):
-    n = 1
-    for s in shape:
-        n *= s
-    return n
 
 
 def conv_out_hw(h, w, kernel, stride, padding, dilation):
@@ -98,10 +92,7 @@ def softmax_cost(name, shape):
 def pool_cost(name, in_shape, kernel, stride, padding=(0, 0)):
     n, c, h, w = in_shape
     kh, kw = kernel
-    sh, sw = stride
-    ph, pw = padding
-    oh = (h + 2 * ph - kh) // sh + 1
-    ow = (w + 2 * pw - kw) // sw + 1
+    oh, ow = conv_out_hw(h, w, kernel, stride, padding, (1, 1))
     out = (n, c, oh, ow)
     return LayerCost(name, "pool", kh * kw * _numel(out), 0, out), out
 

@@ -323,11 +323,26 @@ def read_manifest(data_dir):
     return manifest
 
 
+def _manifest_int(manifest, data_dir, key):
+    path = os.path.join(data_dir, "manifest.txt")
+    if key not in manifest:
+        raise ValueError(f"{path}: missing key {key!r}")
+    try:
+        return int(manifest[key])
+    except ValueError:
+        raise ValueError(
+            f"{path}: {key} must be an integer, got {manifest[key]!r}") from None
+
+
 def load_dataset(data_dir):
-    """Read a dataset directory back into samples (boundary recomputed)."""
+    """Read a dataset directory back into samples (boundary recomputed).
+
+    The manifest must hold integer `count` and `boundary_radius` entries;
+    otherwise a `ValueError` names the file and the key.
+    """
     manifest = read_manifest(data_dir)
-    count = int(manifest["count"])
-    radius = int(manifest.get("boundary_radius", 2))
+    count = _manifest_int(manifest, data_dir, "count")
+    radius = _manifest_int(manifest, data_dir, "boundary_radius")
     samples = []
     for i in range(count):
         image = read_ppm(os.path.join(data_dir, f"img_{i:05d}.ppm"))

@@ -9,6 +9,11 @@ kernel tap is read through one read-only strided view of that buffer
 (`_windows`), and the backward adds each tap's gradient back through the
 same slices (`_scatter_taps`).
 
+`conv2d` has two contraction paths. A depthwise conv (groups = c_in =
+c_out) multiplies and accumulates one kernel tap at a time. Every other
+conv is one batched matmul of the per-group weight matrix against the
+im2col columns, shaped (n, groups, c_in/groups * kh * kw, oh * ow).
+
 The autodiff graph is a define-by-run tape: every operation that sees a
 grad-requiring input records a backward closure on its output.
 
@@ -185,28 +190,11 @@ class Tensor:
     def shape(self):
         return self.data.shape
 
-    @property
-    def size(self):
-        return self.data.size
-
     def __repr__(self):
         return f"Tensor(shape={self.data.shape}, grad={'set' if self.grad is not None else 'none'})"
 
-    def detach(self):
-        t = Tensor.__new__(Tensor)
-        t.data = self.data
-        t.grad = None
-        t.requires_grad = False
-        t._parents = ()
-        t._bwd = None
-        t._done = False
-        return t
-
     def item(self):
         return float(self.data.reshape(-1)[0])
-
-    def zero_grad(self):
-        self.grad = None
 
     def backward(self):
         """Reverse-mode sweep from a scalar loss.
@@ -245,29 +233,6 @@ class Tensor:
                 node._bwd(node.grad)
                 if node is not self:
                     node.grad = None  # free intermediate storage
-
-    # convenience operators (tape-recorded)
-    def __add__(self, other):
-        return add(self, other)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __rsub__(self, other):
-        return sub(other, self)
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        return div(self, other)
-
-    def __neg__(self):
-        return mul(self, -1.0)
 
 
 class Parameter(Tensor):
@@ -658,19 +623,12 @@ def conv2d(x, w, b=None, stride=1, padding=0, dilation=1, groups=1):
         for i in range(kh):
             for j in range(kw):
                 out += win[:, :, :, :, i, j] * w.data[None, :, 0, i, j, None, None]
-    elif g == 1:
-        cols = win.transpose(0, 1, 4, 5, 2, 3).reshape(n, cin * kh * kw, oh * ow)
-        out = np.matmul(w.data.reshape(cout, -1), cols).reshape(n, cout, oh, ow)
     else:
-        cg_in, cg_out = cin // g, cout // g
-        cols = win.transpose(0, 1, 4, 5, 2, 3).reshape(n, g, cg_in * kh * kw,
+        # one batched contraction over (n, group): (cout/g, cg*kh*kw) @ cols
+        cols = win.transpose(0, 1, 4, 5, 2, 3).reshape(n, g, cg * kh * kw,
                                                        oh * ow)
-        out = np.empty((n, g, cg_out, oh * ow))
-        wmat = w.data.reshape(g, cg_out, cg_in * kh * kw)
-        for gi in range(g):
-            np.matmul(wmat[gi], cols[:, gi], out=out[:, gi])
-        out = out.reshape(n, cout, oh, ow)
-        cols = cols.reshape(n, g * cg_in * kh * kw, oh * ow)
+        out = np.matmul(w.data.reshape(g, cout // g, -1), cols).reshape(
+            n, cout, oh, ow)
     _count(2 * kh * kw * (cin // g) * cout * oh * ow * n)
     if b is not None:
         out = out + b.data[None, :, None, None]
@@ -694,29 +652,14 @@ def conv2d(x, w, b=None, stride=1, padding=0, dilation=1, groups=1):
                     xp, lambda i, j: g_out * w.data[None, :, 0, i, j, None, None],
                     kernel, stride, dilation, padding))
             return
-        go = g_out.reshape(n, cout, oh * ow)
-        if g == 1:
-            if w.requires_grad:
-                gw = np.matmul(go, cols.transpose(0, 2, 1)).sum(axis=0)
-                _acc(w, gw.reshape(w.data.shape))
-            if x.requires_grad:
-                gcols = np.matmul(w.data.reshape(cout, -1).T, go)
-        else:
-            cg_in, cg_out = cin // g, cout // g
-            gog = go.reshape(n, g, cg_out, oh * ow)
-            colsg = cols.reshape(n, g, cg_in * kh * kw, oh * ow)
-            wmat = w.data.reshape(g, cg_out, cg_in * kh * kw)
-            if w.requires_grad:
-                gw = np.empty((g, cg_out, cg_in * kh * kw))
-                for gi in range(g):
-                    np.matmul(gog[:, gi], colsg[:, gi].transpose(0, 2, 1)
-                              ).sum(axis=0, out=gw[gi])
-                _acc(w, gw.reshape(w.data.shape))
-            if x.requires_grad:
-                gcols = np.empty((n, g, cg_in * kh * kw, oh * ow))
-                for gi in range(g):
-                    np.matmul(wmat[gi].T, gog[:, gi], out=gcols[:, gi])
+        gog = g_out.reshape(n, g, cout // g, oh * ow)
+        if w.requires_grad:
+            gw = np.matmul(gog, cols.transpose(0, 1, 3, 2)).sum(axis=0)
+            _acc(w, gw.reshape(w.data.shape))
         if x.requires_grad:
+            # w.data is read here, not captured from the forward: SGD rebinds
+            # it, and a captured view would keep the old weights alive
+            gcols = np.matmul(w.data.reshape(g, cout // g, -1).transpose(0, 2, 1), gog)
             taps = gcols.reshape(n, cin, kh, kw, oh, ow)
             _acc(x, _scatter_taps(xp, lambda i, j: taps[:, :, i, j],
                                   kernel, stride, dilation, padding))

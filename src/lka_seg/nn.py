@@ -60,10 +60,6 @@ class Module:
             sub = cname if not prefix else f"{prefix}.{cname}"
             yield from child.named_buffers(sub)
 
-    def zero_grad(self):
-        for p in self.parameters():
-            p.grad = None
-
     def forward(self, x, mode="eval"):
         raise NotImplementedError
 
@@ -92,16 +88,9 @@ class ModuleList(Module):
         return self._items[i]
 
 
-class Sequential(Module):
+class Sequential(ModuleList):
     def __init__(self, *mods):
-        super().__init__()
-        self._items = []
-        for i, m in enumerate(mods):
-            setattr(self, str(i), m)
-            self._items.append(m)
-
-    def __iter__(self):
-        return iter(self._items)
+        super().__init__(mods)
 
     def forward(self, x, mode="eval"):
         for m in self._items:

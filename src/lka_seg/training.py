@@ -293,7 +293,6 @@ class TrainConfig:
     boundary_weight: float = 1.0
     flip: bool = True
     crop: int = 0            # 0 disables; otherwise a multiple of 64
-    scale_augment: bool = False
     seed: int = 0
     ignore_index: int = 255
     val_batch: int = 8
@@ -335,19 +334,6 @@ def _augment(images, labels, boundary, rng, cfg):
                            for i, (y, x) in enumerate(zip(ys, xs))])
         boundary = np.stack([boundary[i, y:y + c, x:x + c]
                              for i, (y, x) in enumerate(zip(ys, xs))])
-    if cfg.scale_augment:
-        # single batch-wide scale in [0.5, 2.0], snapped to a multiple of 64
-        n, _, h, w = images.shape
-        s = rng.uniform(0.5, 2.0)
-        nh = max(64, int(round(h * s / 64.0)) * 64)
-        nw = max(64, int(round(w * s / 64.0)) * 64)
-        if (nh, nw) != (h, w):
-            with E.no_grad():
-                images = E.bilinear_resize(E.Tensor(images), nh, nw).data
-            idx_h = np.clip((np.arange(nh) + 0.5) * h / nh, 0, h - 1).astype(int)
-            idx_w = np.clip((np.arange(nw) + 0.5) * w / nw, 0, w - 1).astype(int)
-            labels = labels[:, idx_h][:, :, idx_w]
-            boundary = boundary[:, idx_h][:, :, idx_w]
     return images, labels, boundary
 
 

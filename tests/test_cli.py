@@ -67,6 +67,19 @@ class TestSynthData:
                      "--count", "6"]) == 0
         assert sum(f.startswith("img_") for f in os.listdir(b)) == 6
 
+    def test_flags_override_spec_even_at_their_defaults(self, tmp_path):
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(json.dumps({"seed": 5, "count": 4}))
+        a, b = str(tmp_path / "a"), str(tmp_path / "b")
+        assert main(["synth-data", "--out", a, "--spec", str(spec_path),
+                     "--seed", "0"]) == 0
+        assert main(["synth-data", "--out", b, "--count", "4",
+                     "--seed", "0"]) == 0
+        assert sorted(os.listdir(a)) == sorted(os.listdir(b))
+        for name in os.listdir(a):
+            assert (open(os.path.join(a, name), "rb").read()
+                    == open(os.path.join(b, name), "rb").read()), name
+
     def test_spec_file_unknown_key_exits_2(self, tmp_path, capsys):
         spec_path = tmp_path / "spec.json"
         spec_path.write_text(json.dumps({"shapes": 9}))
@@ -131,13 +144,57 @@ class TestTrain:
         assert "io error" in capsys.readouterr().err
 
     def test_unknown_config_key_exits_2(self, tmp_path, capsys):
-        doc = dict(TINY_CONFIG)
-        doc["optimizer"] = "adam"
+        # the top-level "seed" and train.scale_augment were removed knobs
+        for section, key, value in ((None, "optimizer", "adam"),
+                                    (None, "seed", 3),
+                                    ("train", "scale_augment", True)):
+            doc = json.loads(json.dumps(TINY_CONFIG))
+            (doc[section] if section else doc)[key] = value
+            cfg = write_config(tmp_path, doc)
+            rc = main(["train", "--config", cfg, "--data", str(tmp_path),
+                       "--out", str(tmp_path / "run")])
+            assert rc == 2, key
+            err = capsys.readouterr().err
+            assert "unknown keys" in err and key in err
+
+    @pytest.mark.parametrize("section, value, named", [
+        ("model", [1], "model"),
+        ("model", 5, "model"),
+        ("train", None, "train"),
+        ("train", {"epochs": 1.5}, "epochs"),
+        ("train", {"epochs": True}, "epochs"),
+        ("train", {"flip": 1}, "flip"),
+        ("train", {"base_lr": "0.1"}, "base_lr"),
+        ("model", {"ppm": 1}, "ppm"),
+        ("model", {"preset": None}, "preset"),
+    ])
+    def test_config_value_type_exits_2(self, tmp_path, capsys, section, value,
+                                       named):
+        doc = json.loads(json.dumps(TINY_CONFIG))
+        doc[section] = value
         cfg = write_config(tmp_path, doc)
         rc = main(["train", "--config", cfg, "--data", str(tmp_path),
                    "--out", str(tmp_path / "run")])
         assert rc == 2
-        assert "unknown keys" in capsys.readouterr().err
+        assert named in capsys.readouterr().err
+
+    def test_float_field_takes_int(self, tmp_path, capsys):
+        doc = json.loads(json.dumps(TINY_CONFIG))
+        doc["train"]["base_lr"] = 1
+        doc["model"]["fixed_gate"] = 0.5
+        assert main(["params", "--config", write_config(tmp_path, doc)]) == 0
+
+    def test_manifest_without_count_exits_2(self, tmp_path, capsys):
+        data = synth(tmp_path, count=8, classes=3)
+        manifest = os.path.join(data, "manifest.txt")
+        lines = open(manifest).read().splitlines()
+        open(manifest, "w").write(
+            "\n".join(ln for ln in lines if not ln.startswith("count=")))
+        cfg = write_config(tmp_path, TINY_CONFIG)
+        rc = main(["train", "--config", cfg, "--data", data,
+                   "--out", str(tmp_path / "run"), "--val-count", "2"])
+        assert rc == 2
+        assert "manifest.txt: missing key 'count'" in capsys.readouterr().err
 
     def test_wrong_version_exits_2(self, tmp_path, capsys):
         doc = dict(TINY_CONFIG)
@@ -247,10 +304,17 @@ class TestAnalysisCommands:
                                           model={"preset": "toy",
                                                  "class_count": 2,
                                                  "blocks_per_stage": 1}))
-        assert main(["bench", "--config", cfg, "--iters", "1", "--warmup", "0",
-                     "--threads", "2"]) == 0
+        assert main(["bench", "--config", cfg, "--iters", "1",
+                     "--warmup", "0"]) == 0
         out = capsys.readouterr().out
-        assert "threads 2" in out and "fps" in out
+        assert "fps" in out
+
+    def test_bench_rejects_threads(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, TOY_CONFIG)
+        with pytest.raises(SystemExit) as exc:
+            main(["bench", "--config", cfg, "--threads", "2"])
+        assert exc.value.code == 2
+        assert "--threads" in capsys.readouterr().err
 
     def test_fixed_gate_flag_trains(self, tmp_path, capsys):
         data = synth(tmp_path, count=8, classes=3)

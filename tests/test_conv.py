@@ -1,5 +1,7 @@
 """Convolution against the six-nested-loop oracle, plus its contracts."""
 
+import weakref
+
 import numpy as np
 import pytest
 
@@ -287,3 +289,19 @@ def test_window_view_is_read_only():
     # strides come from the array itself, whatever its layout
     t = np.asfortranarray(xp)
     assert np.array_equal(E._windows(t, (3, 2), (2, 1), (1, 3)), win)
+
+
+@pytest.mark.parametrize("groups", [1, 2])
+def test_graph_does_not_hold_replaced_weights(groups):
+    # SGD rebinds Parameter.data after each step while the last graph is
+    # still referenced; the conv's backward must not pin the old array
+    rng = np.random.default_rng(0)
+    x = E.Parameter(rng.normal(size=(1, 4, 6, 6)))
+    old = rng.normal(size=(6, 4 // groups, 3, 3))
+    w = E.Parameter(old)
+    out = E.conv2d(x, w, padding=1, groups=groups)
+    ref = weakref.ref(old)
+    w.data = w.data - 0.1
+    del old
+    assert ref() is None
+    assert out.requires_grad

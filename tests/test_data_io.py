@@ -171,6 +171,23 @@ class TestNetpbm:
             np.testing.assert_array_equal(a.boundary, b.boundary)
             assert np.abs(a.image - b.image).max() <= 0.5 / 255.0
 
+    @pytest.mark.parametrize("key, value", [
+        ("count", None), ("count", "3.0"), ("count", "three"),
+        ("boundary_radius", None), ("boundary_radius", "2.5"),
+    ])
+    def test_bad_manifest_integer_names_file_and_key(self, tmp_path, key,
+                                                     value):
+        spec = SynthSpec(seed=2, count=2)
+        write_dataset(synth_dataset(spec), tmp_path / "d", spec)
+        path = tmp_path / "d" / "manifest.txt"
+        lines = [ln for ln in path.read_text().splitlines()
+                 if not ln.startswith(key + "=")]
+        if value is not None:
+            lines.append(f"{key}={value}")
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValueError, match=f"manifest.txt: .*{key}"):
+            load_dataset(tmp_path / "d")
+
 
 class TestCheckpoint:
     def test_round_trip_bit_exact(self, tmp_path):

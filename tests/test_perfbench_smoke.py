@@ -1,0 +1,31 @@
+"""One short traced benchmark run, so the harness keeps working.
+
+`perfbench/tracer.py` patches names of the package (`engine.__all__`,
+`engine.custom_op`, `training.evaluate`, `nn.Module.__call__`, ...); a
+change that renames or deletes one of them breaks the benchmark without
+failing any other test. The run also checks a probe scene's logits
+against `perfbench/reference.json` to 1e-12 and the traced FLOPs against
+`count_flops` exactly.
+"""
+
+import json
+import os
+import subprocess
+import sys
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+
+def test_traced_infer_64_run_passes_its_checks():
+    proc = subprocess.run(
+        [sys.executable, "perfbench/run.py", "--workload", "infer-64",
+         "--seed", "1", "--seconds", "1", "--trace", "1"],
+        cwd=ROOT, capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    docs = [json.loads(line) for line in proc.stdout.splitlines() if line]
+    checks = next(d["checks"] for d in docs if "checks" in d)
+    result = next(d for d in docs if "failed" in d)
+    assert result["failed"] == 0
+    assert checks["probe"] is True
+    assert checks["flops_traced_equal_static"] is True
