@@ -2,7 +2,7 @@
 
 A from-scratch float64 stack: differentiable tensor engine, decomposed
 large-kernel attention blocks, pyramid context, bilateral model, training
-loop, cost/latency analysis, and bit-exact data formats.
+loop, static cost analysis, and bit-exact data formats.
 """
 
 from . import engine

@@ -1,23 +1,16 @@
-"""Static cost model and latency benchmarking.
+"""Static cost reports: FLOPs, parameters and receptive fields.
 
 `count_flops` walks the model's declared dataflow (the `cost` methods)
 and never executes it; the runtime meter inside the engine is the
 independent cross-check, and the acceptance suite holds the two to exact
 integer equality. `count_params` counts trainable scalars only (conv
 weights and biases, norm affine terms); norm running statistics are
-excluded. Latency numbers are host-CPU wall clock and carry enough
-metadata (shape, host) not to be mistaken for GPU figures.
+excluded. Latency is measured by the benchmark harness
+(`perfbench/run.py`), not here.
 """
 
 from __future__ import annotations
 
-import platform
-import time
-from dataclasses import dataclass
-
-import numpy as np
-
-from . import engine as E
 from .costs import CostReport, receptive_field, receptive_field_2d
 
 __all__ = [
@@ -26,66 +19,30 @@ __all__ = [
     "count_params",
     "receptive_field",
     "receptive_field_2d",
-    "bench_latency",
-    "BenchReport",
+    "rf_table",
     "report_table",
     "report_csv",
 ]
+
+
+def rf_table(model):
+    """Per-axis receptive field (h, w) of each of the model's named paths."""
+    return {name: receptive_field_2d(chain)
+            for name, chain in model.rf_paths().items()}
 
 
 def count_flops(model_or_layer, input_shape):
     """Static per-layer cost of one eval-mode forward at `input_shape`."""
     records, _ = model_or_layer.cost(tuple(input_shape))
     report = CostReport(input_shape=tuple(input_shape), layers=records)
-    rf_paths = getattr(model_or_layer, "rf_paths", None)
-    if rf_paths is not None:
-        report.rf_table = {name: receptive_field_2d(chain)
-                           for name, chain in rf_paths().items()}
+    if hasattr(model_or_layer, "rf_paths"):
+        report.rf_table = rf_table(model_or_layer)
     return report
 
 
 def count_params(model):
     """Exact number of trainable scalars in the parameter tree."""
     return sum(p.data.size for p in model.parameters())
-
-
-@dataclass
-class BenchReport:
-    mean_ms: float
-    p50_ms: float
-    p95_ms: float
-    fps: float
-    input_shape: tuple
-    iters: int
-    host: str
-
-
-def bench_latency(model, input_shape, warmup=3, iters=10, seed=0):
-    """Wall-clock eval-mode forwards after warmup; FPS = 1000 / mean_ms."""
-    if iters < 1:
-        raise ValueError(f"iters must be >= 1, got {iters}")
-    rng = np.random.default_rng(seed)
-    x = E.Tensor(rng.uniform(size=tuple(input_shape)))
-    with E.no_grad():
-        for _ in range(warmup):
-            model(x, "eval")
-        times = []
-        for _ in range(iters):
-            t0 = time.perf_counter()
-            model(x, "eval")
-            times.append((time.perf_counter() - t0) * 1000.0)
-    times = np.asarray(times)
-    mean = float(times.mean())
-    return BenchReport(
-        mean_ms=mean,
-        p50_ms=float(np.percentile(times, 50)),
-        p95_ms=float(np.percentile(times, 95)),
-        fps=1000.0 / mean,
-        input_shape=tuple(input_shape),
-        iters=iters,
-        host=f"{platform.machine()} cpython-{platform.python_version()} "
-             f"numpy-{np.__version__}",
-    )
 
 
 def report_table(report: CostReport):

@@ -17,10 +17,8 @@ from .nn import BatchNorm2d, Conv2d, Module, ReLU, Sequential
 STRIP_LEN = 11
 STRIP_DILATION = 3
 SMALL_KERNEL = 5
-
-# padding that keeps strip convolutions shape-preserving
-_STRIP_PAD = (STRIP_LEN - 1) * STRIP_DILATION // 2
-_SMALL_PAD = SMALL_KERNEL // 2
+SELECTOR_KERNEL = 7
+FFN_RATIO = 2
 
 
 def large_kernel_chain():
@@ -30,6 +28,19 @@ def large_kernel_chain():
         ((1, STRIP_LEN), (1, STRIP_DILATION), (1, 1)),
         ((STRIP_LEN, 1), (STRIP_DILATION, 1), (1, 1)),
     ]
+
+
+def large_kernel_convs(channels, rng):
+    """Depthwise convs of `large_kernel_chain`, bias-free and shape-preserving.
+
+    Their initial weights are drawn from `rng` in chain order.
+    """
+    c = channels
+    return tuple(
+        Conv2d(c, c, k, rng, padding=((k[0] - 1) * d[0] // 2, (k[1] - 1) * d[1] // 2),
+               dilation=d, groups=c, bias=False)
+        for k, d, _ in large_kernel_chain()
+    )
 
 
 class KernelSelector(Module):
@@ -45,11 +56,11 @@ class KernelSelector(Module):
 
     BRANCHES = 3
 
-    def __init__(self, channels, rng, spatial_kernel=7):
+    def __init__(self, channels, rng):
         super().__init__()
         self.channels = channels
-        k = spatial_kernel
-        self.spatial_conv = Conv2d(2, self.BRANCHES, k, rng, padding=k // 2)
+        self.spatial_conv = Conv2d(2, self.BRANCHES, SELECTOR_KERNEL, rng,
+                                   padding=SELECTOR_KERNEL // 2)
         self.channel_pw = Conv2d(channels, self.BRANCHES * channels, 1, rng)
         self.channel_dw = Conv2d(self.BRANCHES * channels, self.BRANCHES * channels,
                                  1, rng, groups=self.BRANCHES * channels)
@@ -115,15 +126,9 @@ class LargeKernelAttention(Module):
     def __init__(self, channels, rng):
         super().__init__()
         self.channels = channels
-        c = channels
-        self.dw_small = Conv2d(c, c, SMALL_KERNEL, rng, padding=_SMALL_PAD,
-                               groups=c, bias=False)
-        self.strip_h = Conv2d(c, c, (1, STRIP_LEN), rng, padding=(0, _STRIP_PAD),
-                              dilation=(1, STRIP_DILATION), groups=c, bias=False)
-        self.strip_v = Conv2d(c, c, (STRIP_LEN, 1), rng, padding=(_STRIP_PAD, 0),
-                              dilation=(STRIP_DILATION, 1), groups=c, bias=False)
-        self.selector = KernelSelector(c, rng)
-        self.proj = Conv2d(c, c, 1, rng)
+        self.dw_small, self.strip_h, self.strip_v = large_kernel_convs(channels, rng)
+        self.selector = KernelSelector(channels, rng)
+        self.proj = Conv2d(channels, channels, 1, rng)
 
     def forward(self, x, mode="eval"):
         if x.data.shape[1] != self.channels:
@@ -154,11 +159,11 @@ class LargeKernelAttention(Module):
 
 
 class ConvFeedForward(Module):
-    """Pointwise expand -> depthwise 3x3 -> GELU -> pointwise project."""
+    """Pointwise expand by FFN_RATIO, depthwise 3x3, GELU, pointwise project."""
 
-    def __init__(self, channels, rng, ratio=2):
+    def __init__(self, channels, rng):
         super().__init__()
-        hidden = channels * ratio
+        hidden = channels * FFN_RATIO
         self.channels = channels
         self.expand = Conv2d(channels, hidden, 1, rng)
         self.dw = Conv2d(hidden, hidden, 3, rng, padding=1, groups=hidden)
@@ -186,12 +191,12 @@ class LKABlock(Module):
     inner output projections makes the block an exact identity.
     """
 
-    def __init__(self, channels, rng, ratio=2):
+    def __init__(self, channels, rng):
         super().__init__()
         self.norm1 = BatchNorm2d(channels)
         self.attn = LargeKernelAttention(channels, rng)
         self.norm2 = BatchNorm2d(channels)
-        self.ffn = ConvFeedForward(channels, rng, ratio)
+        self.ffn = ConvFeedForward(channels, rng)
 
     def forward(self, x, mode="eval"):
         u = E.add(x, self.attn(self.norm1(x, mode), mode))

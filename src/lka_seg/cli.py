@@ -1,6 +1,6 @@
 """Command-line entry point.
 
-Commands: synth-data, train, eval, infer, flops, params, rf, bench.
+Commands: synth-data, train, eval, infer, flops, params, rf.
 Configuration is a flat JSON document (versioned with a "version" key,
 unknown keys rejected); command-line flags override file values. Exit
 codes: 0 success, 2 configuration/validation error, 3 numerical abort,
@@ -167,13 +167,29 @@ def cmd_train(args):
     return EXIT_OK
 
 
+def _eval_threads(flag):
+    """Thread count of `eval`: the --threads flag, else LKA_SEG_THREADS, else 1."""
+    if flag is not None:
+        source, text = "--threads", flag
+    else:
+        source, text = "LKA_SEG_THREADS", os.environ.get("LKA_SEG_THREADS", "1")
+    try:
+        threads = int(text)
+    except ValueError:
+        raise ConfigError(f"{source} must be an integer, got {text!r}") from None
+    if threads < 1:
+        raise ConfigError(f"{source} must be >= 1, got {threads}")
+    return threads
+
+
 def cmd_eval(args):
+    threads = _eval_threads(args.threads)
     model, model_cfg, train_cfg = _build_from_args(args)
     data_io.load_into_model(model, args.ckpt)
     samples, _ = data_io.load_dataset(args.data)
     per_class, mean = evaluate(model, samples, model_cfg.class_count,
-                               batch_size=args.batch, threads=args.threads)
-    print(f"samples {len(samples)} threads {args.threads}")
+                               batch_size=args.batch, threads=threads)
+    print(f"samples {len(samples)} threads {threads}")
     print("class  iou")
     for idx, iou in enumerate(per_class):
         text = "absent" if np.isnan(iou) else f"{iou:.6f}"
@@ -222,8 +238,7 @@ def cmd_params(args):
 
 def cmd_rf(args):
     model, _, _ = _build_from_args(args)
-    table = {name: analysis.receptive_field_2d(chain)
-             for name, chain in model.rf_paths().items()}
+    table = analysis.rf_table(model)
     if args.format == "csv":
         print("path,rf_h,rf_w")
         for name, (rh, rw) in table.items():
@@ -231,18 +246,6 @@ def cmd_rf(args):
     else:
         for name, (rh, rw) in table.items():
             print(f"{name}: {rh} x {rw}")
-    return EXIT_OK
-
-
-def cmd_bench(args):
-    model, _, _ = _build_from_args(args)
-    shape = (1, 3, args.size, args.size)
-    rep = analysis.bench_latency(model, shape, warmup=args.warmup,
-                                 iters=args.iters)
-    print(f"shape {rep.input_shape} iters {rep.iters}")
-    print(f"host {rep.host}")
-    print(f"mean_ms {rep.mean_ms:.3f} p50_ms {rep.p50_ms:.3f} "
-          f"p95_ms {rep.p95_ms:.3f} fps {rep.fps:.3f}")
     return EXIT_OK
 
 
@@ -282,8 +285,7 @@ def build_parser():
     p.add_argument("--ckpt", required=True)
     p.add_argument("--data", required=True)
     p.add_argument("--batch", type=int, default=8)
-    p.add_argument("--threads", type=int,
-                   default=int(os.environ.get("LKA_SEG_THREADS", "1")))
+    p.add_argument("--threads", help="default: LKA_SEG_THREADS, else 1")
     p.add_argument("--ppm", choices=("dappm", "dlkppm"))
     p.add_argument("--fixed-gate", type=float)
     p.set_defaults(func=cmd_eval)
@@ -306,13 +308,6 @@ def build_parser():
         if name == "flops":
             p.add_argument("--size", type=int, default=64)
         p.set_defaults(func=func)
-
-    p = sub.add_parser("bench", help="host-CPU latency of eval forwards")
-    p.add_argument("--config", required=True)
-    p.add_argument("--iters", type=int, default=10)
-    p.add_argument("--warmup", type=int, default=3)
-    p.add_argument("--size", type=int, default=64)
-    p.set_defaults(func=cmd_bench)
 
     return parser
 

@@ -22,13 +22,7 @@ import threading
 
 from . import engine as E
 from . import costs
-from .blocks import (
-    SMALL_KERNEL,
-    STRIP_DILATION,
-    STRIP_LEN,
-    _SMALL_PAD,
-    _STRIP_PAD,
-)
+from .blocks import large_kernel_convs
 from .nn import Conv2d, Module, ModuleList, bn_act_conv
 
 log = logging.getLogger(__name__)
@@ -66,14 +60,8 @@ class PyramidPooling(Module):
 
         self.reduce0 = bn_act_conv(cin, hidden, 1, rng)
         if style == "dlkppm":
-            c = hidden
-            self.gate_small = Conv2d(c, c, SMALL_KERNEL, rng, padding=_SMALL_PAD,
-                                     groups=c, bias=False)
-            self.gate_h = Conv2d(c, c, (1, STRIP_LEN), rng, padding=(0, _STRIP_PAD),
-                                 dilation=(1, STRIP_DILATION), groups=c, bias=False)
-            self.gate_v = Conv2d(c, c, (STRIP_LEN, 1), rng, padding=(_STRIP_PAD, 0),
-                                 dilation=(STRIP_DILATION, 1), groups=c, bias=False)
-            self.gate_proj = Conv2d(c, c, 1, rng)
+            self.gate_small, self.gate_h, self.gate_v = large_kernel_convs(hidden, rng)
+            self.gate_proj = Conv2d(hidden, hidden, 1, rng)
 
         self.reduces = ModuleList([bn_act_conv(cin, hidden, 1, rng)
                                    for _ in range(len(POOL_SCALES) + 1)])

@@ -7,11 +7,11 @@ walk (this module) and the runtime meter inside `lka_seg.engine`:
   conv bias          c_out * oh * ow * n
   normalization      2 per element
   activation         1 per element (relu / gelu / sigmoid alike)
-  softmax            4 per input element
+  group softmax      4 per input element
   average pooling    kh * kw per output element
   global avg pool    1 per input element
   bilinear resize    8 per output element (0 when the size is unchanged)
-  elementwise op     1 per output element (add, sub, mul, div)
+  elementwise op     1 per output element (add, sub, mul)
   channel mean/max   1 per input element
   concat / slice     0
 

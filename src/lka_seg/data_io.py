@@ -324,21 +324,25 @@ def read_manifest(data_dir):
 
 
 def _manifest_int(manifest, data_dir, key):
+    """`key` of the manifest as an integer >= 1."""
     path = os.path.join(data_dir, "manifest.txt")
     if key not in manifest:
         raise ValueError(f"{path}: missing key {key!r}")
     try:
-        return int(manifest[key])
+        value = int(manifest[key])
     except ValueError:
         raise ValueError(
             f"{path}: {key} must be an integer, got {manifest[key]!r}") from None
+    if value < 1:
+        raise ValueError(f"{path}: {key} must be >= 1, got {value}")
+    return value
 
 
 def load_dataset(data_dir):
     """Read a dataset directory back into samples (boundary recomputed).
 
-    The manifest must hold integer `count` and `boundary_radius` entries;
-    otherwise a `ValueError` names the file and the key.
+    The manifest must hold `count` and `boundary_radius` entries that are
+    integers >= 1; otherwise a `ValueError` names the file and the key.
     """
     manifest = read_manifest(data_dir)
     count = _manifest_int(manifest, data_dir, "count")
@@ -500,18 +504,17 @@ def load_into_model(model, path):
 # ---------------------------------------------------------------------------
 
 
-def colorize(labels, palette=None):
+def colorize(labels):
     """Deterministic class -> RGB map: (h, w) labels -> (3, h, w) floats."""
-    pal = PALETTE if palette is None else np.asarray(palette)
     lab = np.asarray(labels)
     k = int(lab.max()) + 1 if lab.size else 0
-    if k > len(pal):
-        raise ValueError(f"{k} classes exceed palette size {len(pal)}")
-    return pal[lab].transpose(2, 0, 1).astype(np.float64)
+    if k > len(PALETTE):
+        raise ValueError(f"{k} classes exceed palette size {len(PALETTE)}")
+    return PALETTE[lab].transpose(2, 0, 1).astype(np.float64)
 
 
-def render_overlay(image, labels, alpha, palette=None):
+def render_overlay(image, labels, alpha):
     """(1 - alpha) * image + alpha * colorized labels."""
     if not (0.0 <= alpha <= 1.0):
         raise ValueError(f"alpha must be in [0, 1], got {alpha}")
-    return (1.0 - alpha) * np.asarray(image) + alpha * colorize(labels, palette)
+    return (1.0 - alpha) * np.asarray(image) + alpha * colorize(labels)

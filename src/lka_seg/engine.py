@@ -22,7 +22,8 @@ Conventions fixed here and relied on everywhere else:
     is the only supported mode),
   * batch norm uses biased variance and updates running statistics as
     running = (1 - momentum) * running + momentum * batch_stat,
-  * softmax subtracts the (detached) max along its axis before exp.
+  * group_softmax subtracts the (detached) max over its group axis before
+    exp.
 
 A process-wide FLOP meter can be armed with `flop_meter()`; while armed,
 every primitive adds its cost using the conventions documented in
@@ -49,7 +50,6 @@ __all__ = [
     "add",
     "sub",
     "mul",
-    "div",
     "concat",
     "channel_slice",
     "channel_mean",
@@ -57,16 +57,12 @@ __all__ = [
     "relu",
     "gelu",
     "sigmoid",
-    "softmax",
     "group_softmax",
     "conv2d",
-    "depthwise",
     "avg_pool",
     "global_avg_pool",
     "batch_norm",
     "bilinear_resize",
-    "mean_all",
-    "sum_all",
 ]
 
 _INV_SQRT2 = 1.0 / np.sqrt(2.0)
@@ -325,20 +321,6 @@ def mul(a, b):
     return _record(out, (a, b), bwd)
 
 
-def div(a, b):
-    a, b = _as_tensor(a), _as_tensor(b)
-    out = a.data / b.data
-    _count(out.size)
-
-    def bwd(g):
-        if a.requires_grad:
-            _acc(a, _unbroadcast(g / b.data, a.data.shape))
-        if b.requires_grad:
-            _acc(b, _unbroadcast(-g * a.data / (b.data * b.data), b.data.shape))
-
-    return _record(out, (a, b), bwd)
-
-
 def concat(tensors, axis=1):
     tensors = [_as_tensor(t) for t in tensors]
     out = np.concatenate([t.data for t in tensors], axis=axis)
@@ -396,28 +378,6 @@ def channel_max(x):
     return _record(out, (x,), bwd)
 
 
-def mean_all(x):
-    x = _as_tensor(x)
-    out = np.asarray(x.data.mean())
-    _count(x.data.size)
-
-    def bwd(g):
-        _acc(x, np.full_like(x.data, float(g) / x.data.size))
-
-    return _record(out, (x,), bwd)
-
-
-def sum_all(x):
-    x = _as_tensor(x)
-    out = np.asarray(x.data.sum())
-    _count(x.data.size)
-
-    def bwd(g):
-        _acc(x, np.full_like(x.data, float(g)))
-
-    return _record(out, (x,), bwd)
-
-
 # ---------------------------------------------------------------------------
 # activations
 # ---------------------------------------------------------------------------
@@ -455,21 +415,6 @@ def sigmoid(x):
 
     def bwd(g):
         _acc(x, g * s * (1.0 - s))
-
-    return _record(s, (x,), bwd)
-
-
-def softmax(x, axis=1):
-    """Numerically stabilized softmax along `axis`; sums to 1 there."""
-    x = _as_tensor(x)
-    z = x.data - x.data.max(axis=axis, keepdims=True)
-    e = np.exp(z)
-    s = e / e.sum(axis=axis, keepdims=True)
-    _count(4 * s.size)
-
-    def bwd(g):
-        dot = (g * s).sum(axis=axis, keepdims=True)
-        _acc(x, s * (g - dot))
 
     return _record(s, (x,), bwd)
 
@@ -665,19 +610,6 @@ def conv2d(x, w, b=None, stride=1, padding=0, dilation=1, groups=1):
                                   kernel, stride, dilation, padding))
 
     return _record(out, parents, bwd)
-
-
-def depthwise(x, w, b=None, stride=1, padding=0, dilation=1):
-    """Per-channel convolution: conv2d with groups = c_in = c_out."""
-    x = _as_tensor(x)
-    _check_4d(x, "depthwise input")
-    c = x.data.shape[1]
-    w = _as_tensor(w)
-    if w.data.shape[0] != c or w.data.shape[1] != 1:
-        raise ValueError(
-            f"depthwise weight must be ({c}, 1, kh, kw), got {w.data.shape}"
-        )
-    return conv2d(x, w, b, stride=stride, padding=padding, dilation=dilation, groups=c)
 
 
 def avg_pool(x, kernel, stride=None, padding=0):

@@ -55,14 +55,11 @@ class ModelConfig:
     mid_width: int = 32
     high_width: int = 64
     blocks_per_stage: int = 2
-    cffn_ratio: int = 2
     ppm: str = "dlkppm"
     ppm_hidden: int = 0          # 0 -> high_width // 2
     ppm_out: int = 0             # 0 -> high_width
     fuse_width: int = 0          # 0 -> 2 * low_width
     head_width: int = 0          # 0 -> 2 * low_width
-    boundary_head: bool = True
-    aux_head: bool = True
     fixed_gate: float = float("nan")   # NaN -> learned sigmoid gate
 
     def resolved(self):
@@ -78,7 +75,7 @@ class ModelConfig:
         if self.class_count < 2:
             raise ValueError(f"class_count must be >= 2, got {self.class_count}")
         for name in ("stem_width", "low_width", "mid_width", "high_width",
-                     "blocks_per_stage", "cffn_ratio"):
+                     "blocks_per_stage"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
         if self.ppm not in ("dappm", "dlkppm"):
@@ -102,8 +99,8 @@ def preset_config(name, **overrides):
 @dataclass
 class ModelOutputs:
     seg_logits: E.Tensor
-    boundary_logits: E.Tensor = None
-    aux_logits: E.Tensor = None
+    boundary_logits: E.Tensor
+    aux_logits: E.Tensor = None   # train mode only
 
 
 class BoundaryGuidedFusion(Module):
@@ -116,14 +113,13 @@ class BoundaryGuidedFusion(Module):
     """
 
     def __init__(self, detail_c, semantic_c, boundary_c, width, rng,
-                 fixed_sigma=None, gate_kernel=5):
+                 fixed_sigma=None):
         super().__init__()
         self.width = width
         self.fixed_sigma = fixed_sigma
         self.detail_refine = bn_act_conv(detail_c, width, 3, rng, padding=1)
         self.semantic_refine = bn_act_conv(semantic_c, width, 3, rng, padding=1)
-        self.gate = Conv2d(boundary_c, 1, gate_kernel, rng,
-                           padding=gate_kernel // 2)
+        self.gate = Conv2d(boundary_c, 1, 5, rng, padding=2)
         self.shortcut = Conv2d(detail_c, width, 1, rng, bias=False)
         self.out_conv = Conv2d(width, width, 3, rng, padding=1, bias=False)
 
@@ -188,7 +184,6 @@ class BilateralNet(Module):
         low, mid, high = cfg.low_width, cfg.mid_width, cfg.high_width
         k = cfg.class_count
         depth = cfg.blocks_per_stage
-        ratio = cfg.cffn_ratio
 
         self.stem = Sequential(
             *conv_bn(3, cfg.stem_width, 3, rng, stride=2, padding=1),
@@ -197,12 +192,12 @@ class BilateralNet(Module):
         )
         self.low_stage1 = Sequential(*[ResidualConvBlock(low, rng) for _ in range(depth)])
         self.high_down1 = conv_bn(low, mid, 3, rng, stride=2, padding=1)
-        self.high_stage1 = Sequential(*[LKABlock(mid, rng, ratio) for _ in range(depth)])
+        self.high_stage1 = Sequential(*[LKABlock(mid, rng) for _ in range(depth)])
         self.exch1_h2l = conv_bn(mid, low, 1, rng, act=False)
         self.exch1_l2h = conv_bn(low, mid, 3, rng, stride=2, padding=1, act=False)
-        self.low_stage2 = Sequential(*[LKABlock(low, rng, ratio) for _ in range(depth)])
+        self.low_stage2 = Sequential(*[LKABlock(low, rng) for _ in range(depth)])
         self.high_down2 = conv_bn(mid, high, 3, rng, stride=2, padding=1)
-        self.high_stage2 = Sequential(*[LKABlock(high, rng, ratio) for _ in range(depth)])
+        self.high_stage2 = Sequential(*[LKABlock(high, rng) for _ in range(depth)])
         self.exch2_h2l = conv_bn(high, low, 1, rng, act=False)
         self.exch2_l2h = Sequential(
             *conv_bn(low, mid, 3, rng, stride=2, padding=1),
@@ -210,16 +205,14 @@ class BilateralNet(Module):
         )
         self.ppm = PyramidPooling(high, cfg.ppm_out, rng, hidden=cfg.ppm_hidden,
                                   style=cfg.ppm)
-        if cfg.boundary_head:
-            self.boundary_feat = conv_bn(low, low, 3, rng, padding=1)
-            self.boundary_logit = Conv2d(low, 1, 1, rng)
-        if cfg.aux_head:
-            self.aux_head = Sequential(
-                BatchNorm2d(low), ReLU(),
-                Conv2d(low, cfg.head_width, 3, rng, padding=1, bias=False),
-                BatchNorm2d(cfg.head_width), ReLU(),
-                Conv2d(cfg.head_width, k, 1, rng),
-            )
+        self.boundary_feat = conv_bn(low, low, 3, rng, padding=1)
+        self.boundary_logit = Conv2d(low, 1, 1, rng)
+        self.aux_head = Sequential(
+            BatchNorm2d(low), ReLU(),
+            Conv2d(low, cfg.head_width, 3, rng, padding=1, bias=False),
+            BatchNorm2d(cfg.head_width), ReLU(),
+            Conv2d(cfg.head_width, k, 1, rng),
+        )
         # the gate reads the boundary feature, which keeps `low` channels
         self.fuse = BoundaryGuidedFusion(
             low, cfg.ppm_out, low, cfg.fuse_width, rng,
@@ -264,18 +257,14 @@ class BilateralNet(Module):
 
         sem = E.bilinear_resize(self.ppm(hi_x, mode), h8, w8)
 
-        boundary_logits = None
-        if self.cfg.boundary_head:
-            bfeat = self.boundary_feat(low_x, mode)
-            boundary_logits = self.boundary_logit(bfeat, mode)
-        else:
-            bfeat = low_x
+        bfeat = self.boundary_feat(low_x, mode)
+        boundary_logits = self.boundary_logit(bfeat, mode)
 
         fused = self.fuse(low_x, sem, bfeat, mode)
         seg = E.bilinear_resize(self.seg_head(fused, mode), h, w)
 
         aux_logits = None
-        if self.cfg.aux_head and mode == "train":
+        if mode == "train":
             aux_logits = E.bilinear_resize(self.aux_head(aux_src, mode), h, w)
 
         return ModelOutputs(seg_logits=seg, boundary_logits=boundary_logits,
@@ -332,13 +321,10 @@ class BilateralNet(Module):
         rec, sem_sh = costs.resize_cost(f"{p}.sem_up", ppm_sh, h8, w8)
         records.append(rec)
 
-        if self.cfg.boundary_head:
-            recs, b_sh = self.boundary_feat.cost(low_sh, f"{p}.boundary_feat")
-            records.extend(recs)
-            recs, _ = self.boundary_logit.cost(b_sh, f"{p}.boundary_logit")
-            records.extend(recs)
-        else:
-            b_sh = low_sh
+        recs, b_sh = self.boundary_feat.cost(low_sh, f"{p}.boundary_feat")
+        records.extend(recs)
+        recs, _ = self.boundary_logit.cost(b_sh, f"{p}.boundary_logit")
+        records.extend(recs)
 
         recs, f_sh = self.fuse.cost(low_sh, sem_sh, b_sh, f"{p}.fuse")
         records.extend(recs)

@@ -169,12 +169,10 @@ class ReLU(Module):
         return [rec], out
 
 
-def conv_bn(cin, cout, kernel, rng, stride=1, padding=0, dilation=1, groups=1,
-            act=True):
+def conv_bn(cin, cout, kernel, rng, stride=1, padding=0, act=True):
     """Conv (no bias) + BN (+ ReLU), the standard backbone unit."""
     mods = [
-        Conv2d(cin, cout, kernel, rng, stride=stride, padding=padding,
-               dilation=dilation, groups=groups, bias=False),
+        Conv2d(cin, cout, kernel, rng, stride=stride, padding=padding, bias=False),
         BatchNorm2d(cout),
     ]
     if act:
@@ -182,12 +180,11 @@ def conv_bn(cin, cout, kernel, rng, stride=1, padding=0, dilation=1, groups=1,
     return Sequential(*mods)
 
 
-def bn_act_conv(cin, cout, kernel, rng, stride=1, padding=0, dilation=1,
-                groups=1, bias=False):
+def bn_act_conv(cin, cout, kernel, rng, padding=0, dilation=1):
     """Pre-activation unit (BN, ReLU, conv) used by pyramid and fusion heads."""
     return Sequential(
         BatchNorm2d(cin),
         ReLU(),
-        Conv2d(cin, cout, kernel, rng, stride=stride, padding=padding,
-               dilation=dilation, groups=groups, bias=bias),
+        Conv2d(cin, cout, kernel, rng, padding=padding, dilation=dilation,
+               bias=False),
     )

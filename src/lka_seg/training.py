@@ -438,11 +438,11 @@ def train_model(model, train_data, val_data, cfg: TrainConfig, out_dir=None,
                     )
                     loss = ohem_cross_entropy(out.seg_logits, labels, seg_cfg,
                                               cfg.ignore_index)
-                    if out.aux_logits is not None and cfg.aux_weight:
+                    if cfg.aux_weight:
                         aux = ohem_cross_entropy(out.aux_logits, labels, seg_cfg,
                                                  cfg.ignore_index)
                         loss = E.add(loss, E.mul(aux, cfg.aux_weight))
-                    if out.boundary_logits is not None and cfg.boundary_weight:
+                    if cfg.boundary_weight:
                         target = boundary_target_at_scale(
                             labels,
                             images.shape[2] // out.boundary_logits.data.shape[2])

@@ -34,10 +34,18 @@ def gradcheck(build_loss, tensors, eps=1e-5, tol=1e-6):
     return worst
 
 
+def sum_all(x):
+    """Scalar sum of a tensor, recorded on the tape: the gradient checks' loss."""
+    def bwd(g):
+        E._acc(x, np.full_like(x.data, float(g)))
+
+    return E.custom_op(np.asarray(x.data.sum()), (x,), bwd)
+
+
 def random_loss(out, rng):
     """Generic scalar loss: inner product with a fixed random direction."""
     direction = E.Tensor(rng.normal(size=out.data.shape))
-    return E.sum_all(E.mul(out, direction))
+    return sum_all(E.mul(out, direction))
 
 
 def randomize_norms(module, rng):

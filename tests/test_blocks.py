@@ -13,7 +13,7 @@ from lka_seg.blocks import (
     LargeKernelAttention,
     ResidualConvBlock,
 )
-from helpers import gradcheck, random_loss
+from helpers import gradcheck, random_loss, sum_all
 from oracles import conv2d_naive, gelu_naive, rel_err
 
 
@@ -83,7 +83,7 @@ class TestLargeKernelAttention:
         x = E.Parameter(rng.normal(size=(1, 2, 8, 8)))
         d = E.Tensor(rng.normal(size=(1, 2, 8, 8)))
         params = [p for _, p in attn.named_parameters()]
-        gradcheck(lambda: E.sum_all(E.mul(attn(x, "eval"), d)), params + [x],
+        gradcheck(lambda: sum_all(E.mul(attn(x, "eval"), d)), params + [x],
                   tol=1e-6)
 
 
@@ -149,7 +149,7 @@ class TestConvFeedForward:
         assert (out.data == 0).all()
 
     def test_shape_preserved(self, rng):
-        ffn = ConvFeedForward(5, rng, ratio=3)
+        ffn = ConvFeedForward(5, rng)
         x = E.Tensor(rng.normal(size=(2, 5, 7, 9)))
         assert ffn(x, "eval").data.shape == (2, 5, 7, 9)
 
@@ -158,7 +158,7 @@ class TestConvFeedForward:
         x = E.Parameter(rng.normal(size=(1, 2, 6, 6)))
         d = E.Tensor(rng.normal(size=(1, 2, 6, 6)))
         params = [p for _, p in ffn.named_parameters()]
-        gradcheck(lambda: E.sum_all(E.mul(ffn(x, "eval"), d)), params + [x])
+        gradcheck(lambda: sum_all(E.mul(ffn(x, "eval"), d)), params + [x])
 
 
 class TestLKABlock:
@@ -181,7 +181,7 @@ class TestLKABlock:
         x = E.Parameter(rng.normal(size=(1, 2, 8, 8)))
         d = E.Tensor(rng.normal(size=(1, 2, 8, 8)))
         params = [p for _, p in block.named_parameters()]
-        gradcheck(lambda: E.sum_all(E.mul(block(x, "train"), d)), params + [x])
+        gradcheck(lambda: sum_all(E.mul(block(x, "train"), d)), params + [x])
 
     def test_all_parameters_connected(self, rng):
         block = LKABlock(3, rng)

@@ -80,6 +80,12 @@ class TestSynthData:
             assert (open(os.path.join(a, name), "rb").read()
                     == open(os.path.join(b, name), "rb").read()), name
 
+    def test_bad_thread_variable_does_not_concern_synth_data(self, tmp_path,
+                                                            monkeypatch):
+        # only eval reads LKA_SEG_THREADS
+        monkeypatch.setenv("LKA_SEG_THREADS", "two")
+        synth(tmp_path)
+
     def test_spec_file_unknown_key_exits_2(self, tmp_path, capsys):
         spec_path = tmp_path / "spec.json"
         spec_path.write_text(json.dumps({"shapes": 9}))
@@ -144,10 +150,13 @@ class TestTrain:
         assert "io error" in capsys.readouterr().err
 
     def test_unknown_config_key_exits_2(self, tmp_path, capsys):
-        # the top-level "seed" and train.scale_augment were removed knobs
+        # the other keys name removed knobs
         for section, key, value in ((None, "optimizer", "adam"),
                                     (None, "seed", 3),
-                                    ("train", "scale_augment", True)):
+                                    ("train", "scale_augment", True),
+                                    ("model", "boundary_head", False),
+                                    ("model", "aux_head", False),
+                                    ("model", "cffn_ratio", 3)):
             doc = json.loads(json.dumps(TINY_CONFIG))
             (doc[section] if section else doc)[key] = value
             cfg = write_config(tmp_path, doc)
@@ -224,6 +233,41 @@ class TestEvalInfer:
         assert "class  iou" in out and "miou" in out
         assert "threads 2" in out
 
+    def test_threads_from_flag_else_variable(self, trained, capsys,
+                                             monkeypatch):
+        data, cfg, ckpt = trained
+        args = ["eval", "--config", cfg, "--ckpt", ckpt, "--data", data]
+        monkeypatch.setenv("LKA_SEG_THREADS", "2")
+        assert main(args) == 0
+        assert "threads 2" in capsys.readouterr().out
+        assert main(args + ["--threads", "1"]) == 0
+        assert "threads 1" in capsys.readouterr().out
+
+    def test_bad_thread_count_exits_2_and_names_source(self, trained, capsys,
+                                                       monkeypatch):
+        data, cfg, ckpt = trained
+        args = ["eval", "--config", cfg, "--ckpt", ckpt, "--data", data]
+        for env, flag, source in (("two", None, "LKA_SEG_THREADS"),
+                                  ("0", None, "LKA_SEG_THREADS"),
+                                  ("1", "two", "--threads"),
+                                  ("1", "0", "--threads"),
+                                  ("two", "-1", "--threads")):
+            monkeypatch.setenv("LKA_SEG_THREADS", env)
+            rc = main(args + (["--threads", flag] if flag else []))
+            assert rc == 2, (env, flag)
+            err = capsys.readouterr().err
+            assert err.startswith("config error") and source in err, err
+
+    def test_eval_on_count_below_one_exits_2(self, trained, capsys):
+        data, cfg, ckpt = trained
+        manifest = os.path.join(data, "manifest.txt")
+        lines = [ln for ln in open(manifest).read().splitlines()
+                 if not ln.startswith("count=")]
+        open(manifest, "w").write("\n".join(lines + ["count=-3"]) + "\n")
+        rc = main(["eval", "--config", cfg, "--ckpt", ckpt, "--data", data])
+        assert rc == 2
+        assert "manifest.txt: count must be >= 1" in capsys.readouterr().err
+
     def test_infer_writes_ppm(self, trained, tmp_path, capsys):
         data, cfg, ckpt = trained
         image = os.path.join(data, "img_00000.ppm")
@@ -298,23 +342,6 @@ class TestAnalysisCommands:
         reported = int(capsys.readouterr().out.split()[-1])
         from lka_seg.data_io import checkpoint_scalar_count
         assert reported == checkpoint_scalar_count(os.path.join(out, "last.ckpt"))
-
-    def test_bench_reports_thread_count(self, tmp_path, capsys):
-        cfg = write_config(tmp_path, dict(TOY_CONFIG,
-                                          model={"preset": "toy",
-                                                 "class_count": 2,
-                                                 "blocks_per_stage": 1}))
-        assert main(["bench", "--config", cfg, "--iters", "1",
-                     "--warmup", "0"]) == 0
-        out = capsys.readouterr().out
-        assert "fps" in out
-
-    def test_bench_rejects_threads(self, tmp_path, capsys):
-        cfg = write_config(tmp_path, TOY_CONFIG)
-        with pytest.raises(SystemExit) as exc:
-            main(["bench", "--config", cfg, "--threads", "2"])
-        assert exc.value.code == 2
-        assert "--threads" in capsys.readouterr().err
 
     def test_fixed_gate_flag_trains(self, tmp_path, capsys):
         data = synth(tmp_path, count=8, classes=3)

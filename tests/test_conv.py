@@ -7,6 +7,7 @@ import pytest
 
 import lka_seg.engine as E
 from lka_seg.context import POOL_SCALES
+from helpers import sum_all
 from oracles import avg_pool_naive, conv2d_naive, expand_kernel, rel_err
 
 
@@ -113,7 +114,7 @@ class TestDepthwise:
     def test_per_channel_scaling(self):
         x = np.ones((1, 2, 3, 3))
         w = np.array([2.0, 5.0]).reshape(2, 1, 1, 1)
-        out = E.depthwise(E.Tensor(x), E.Tensor(w))
+        out = E.conv2d(E.Tensor(x), E.Tensor(w), groups=2)
         assert (out.data[0, 0] == 2.0).all()
         assert (out.data[0, 1] == 5.0).all()
 
@@ -125,19 +126,20 @@ class TestDepthwise:
         dense = np.zeros((c, c, 5, 5))
         for i in range(c):
             dense[i, i] = w[i, 0]
-        a = E.depthwise(E.Tensor(x), E.Tensor(w), padding=2)
+        a = E.conv2d(E.Tensor(x), E.Tensor(w), padding=2, groups=c)
         ref = conv2d_naive(x, dense, None, (1, 1), (2, 2), (1, 1), 1)
         assert rel_err(a.data, ref) < 1e-13
 
     def test_zero_weights_zero_output(self):
         x = np.random.default_rng(0).normal(size=(1, 4, 6, 6))
-        out = E.depthwise(E.Tensor(x), E.Tensor(np.zeros((4, 1, 3, 3))), padding=1)
+        out = E.conv2d(E.Tensor(x), E.Tensor(np.zeros((4, 1, 3, 3))), padding=1,
+                       groups=4)
         assert (out.data == 0).all()
 
     def test_rejects_wrong_group_shape(self):
         x = E.Tensor(np.zeros((1, 4, 6, 6)))
-        with pytest.raises(ValueError, match="depthwise weight"):
-            E.depthwise(x, E.Tensor(np.zeros((4, 2, 3, 3))))
+        with pytest.raises(ValueError, match="weight channel axis mismatch"):
+            E.conv2d(x, E.Tensor(np.zeros((4, 2, 3, 3))), groups=4)
 
 
 class TestConvErrors:
@@ -221,7 +223,7 @@ def test_model_conv_geometries_match_oracle(geometry):
     # conv is linear in x and in w, so <conv(x, w) - b, d> equals both
     # <x, dL/dx> and <w, dL/dw> for L = <conv(x, w), d>
     d = rng.normal(size=ref.shape)
-    E.sum_all(E.mul(out, E.Tensor(d))).backward()
+    sum_all(E.mul(out, E.Tensor(d))).backward()
     inner = float(((ref - b[None, :, None, None]) * d).sum())
     assert abs(float((x * xt.grad).sum()) - inner) < 1e-12 * np.abs(ref * d).sum()
     assert abs(float((w * wt.grad).sum()) - inner) < 1e-12 * np.abs(ref * d).sum()
@@ -238,7 +240,7 @@ def test_model_pool_geometries_match_oracle(scale):
     ref = avg_pool_naive(x, (k, k), (s, s), (p, p))
     assert rel_err(out.data, ref) < 1e-12
     d = rng.normal(size=ref.shape)
-    E.sum_all(E.mul(out, E.Tensor(d))).backward()
+    sum_all(E.mul(out, E.Tensor(d))).backward()
     inner = float((ref * d).sum())
     assert abs(float((x * xt.grad).sum()) - inner) < 1e-12 * np.abs(ref * d).sum()
 
@@ -246,7 +248,7 @@ def test_model_pool_geometries_match_oracle(scale):
 def _forward_backward(op, *leaves):
     out = op(*leaves)
     d = np.linspace(-1.0, 1.0, out.data.size).reshape(out.data.shape)
-    E.sum_all(E.mul(out, E.Tensor(d))).backward()
+    sum_all(E.mul(out, E.Tensor(d))).backward()
     return out.data
 
 

@@ -174,6 +174,8 @@ class TestNetpbm:
     @pytest.mark.parametrize("key, value", [
         ("count", None), ("count", "3.0"), ("count", "three"),
         ("boundary_radius", None), ("boundary_radius", "2.5"),
+        ("count", "0"), ("count", "-3"), ("boundary_radius", "0"),
+        ("boundary_radius", "-1"),
     ])
     def test_bad_manifest_integer_names_file_and_key(self, tmp_path, key,
                                                      value):
@@ -305,7 +307,7 @@ class TestCheckpoint:
     def test_missing_and_extra_entries_rejected(self, tmp_path):
         import dataclasses
         full = build_model(SMALL_MODEL, seed=4)
-        slim = build_model(dataclasses.replace(SMALL_MODEL, boundary_head=False),
+        slim = build_model(dataclasses.replace(SMALL_MODEL, ppm="dappm"),
                            seed=4)
         full_path, slim_path = tmp_path / "full.ckpt", tmp_path / "slim.ckpt"
         save_checkpoint(full, full_path)

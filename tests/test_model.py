@@ -11,7 +11,7 @@ from lka_seg.model import (
     build_model,
     preset_config,
 )
-from helpers import randomize_norms
+from helpers import randomize_norms, sum_all
 from oracles import conv2d_naive, rel_err
 
 
@@ -193,10 +193,10 @@ class TestForward:
 
 def _audit_loss(model, x, rng):
     out = model(x, "train")
-    loss = E.sum_all(E.mul(out.seg_logits,
+    loss = sum_all(E.mul(out.seg_logits,
                            E.Tensor(rng.normal(size=out.seg_logits.data.shape))))
     for extra in (out.aux_logits, out.boundary_logits):
-        loss = E.add(loss, E.sum_all(E.mul(
+        loss = E.add(loss, sum_all(E.mul(
             extra, E.Tensor(rng.normal(size=extra.data.shape)))))
     return loss
 

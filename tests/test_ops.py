@@ -99,7 +99,7 @@ class TestActivations:
         assert E.sigmoid(E.Tensor(np.zeros((1, 1, 1, 1)))).data[0, 0, 0, 0] == 0.5
 
     def test_softmax_uniform(self):
-        out = E.softmax(E.Tensor(np.zeros((1, 3, 1, 1))), axis=1)
+        out = E.group_softmax(E.Tensor(np.zeros((1, 3, 1, 1))), 3)
         assert np.allclose(out.data, 1.0 / 3.0)
 
     def test_gelu_matches_erf_oracle(self):
@@ -111,14 +111,14 @@ class TestActivations:
     def test_softmax_shift_invariance(self):
         rng = np.random.default_rng(4)
         x = rng.normal(size=(2, 5, 3, 3))
-        a = E.softmax(E.Tensor(x), axis=1)
-        b = E.softmax(E.Tensor(x + 123.456), axis=1)
+        a = E.group_softmax(E.Tensor(x), 5)
+        b = E.group_softmax(E.Tensor(x + 123.456), 5)
         assert rel_err(a.data, b.data) < 1e-12
 
     def test_softmax_sums_to_one(self):
         rng = np.random.default_rng(5)
         x = rng.normal(size=(2, 7, 4, 4)) * 50
-        out = E.softmax(E.Tensor(x), axis=1)
+        out = E.group_softmax(E.Tensor(x), 7)
         assert np.abs(out.data.sum(axis=1) - 1.0).max() < 1e-12
 
     def test_relu(self):
