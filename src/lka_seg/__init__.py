@@ -6,7 +6,7 @@ loop, static cost analysis, and bit-exact data formats.
 """
 
 from . import engine
-from .engine import ConvSpec, Parameter, Tensor, no_grad
+from .engine import Parameter, Tensor, no_grad
 from .model import ModelConfig, ModelOutputs, build_model, preset_config
 from .training import OhemConfig, TrainConfig, train_model
 
@@ -16,7 +16,6 @@ __all__ = [
     "engine",
     "Tensor",
     "Parameter",
-    "ConvSpec",
     "no_grad",
     "ModelConfig",
     "ModelOutputs",

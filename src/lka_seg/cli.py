@@ -104,8 +104,6 @@ def _model_overrides(args):
         overrides["model.ppm"] = args.ppm
     if getattr(args, "fixed_gate", None) is not None:
         overrides["model.fixed_gate"] = args.fixed_gate
-    if getattr(args, "classes", None):
-        overrides["model.class_count"] = args.classes
     if getattr(args, "seed", None) is not None:
         overrides["train.seed"] = args.seed
     if getattr(args, "epochs", None) is not None:

@@ -10,7 +10,7 @@ walk (this module) and the runtime meter inside `lka_seg.engine`:
   group softmax      4 per input element
   average pooling    kh * kw per output element
   global avg pool    1 per input element
-  bilinear resize    8 per output element (0 when the size is unchanged)
+  bilinear resize    8 per output element
   elementwise op     1 per output element (add, sub, mul)
   channel mean/max   1 per input element
   concat / slice     0
@@ -106,8 +106,7 @@ def global_pool_cost(name, in_shape):
 def resize_cost(name, in_shape, out_h, out_w):
     n, c = in_shape[0], in_shape[1]
     out = (n, c, out_h, out_w)
-    flops = 0 if (out_h, out_w) == in_shape[2:] else 8 * _numel(out)
-    return LayerCost(name, "resize", flops, 0, out), out
+    return LayerCost(name, "resize", 8 * _numel(out), 0, out), out
 
 
 def elemwise_cost(name, shape, n_ops=1):

@@ -18,8 +18,8 @@ The autodiff graph is a define-by-run tape: every operation that sees a
 grad-requiring input records a backward closure on its output.
 
 Conventions fixed here and relied on everywhere else:
-  * bilinear resizing uses half-pixel source centers (align_corners=False
-    is the only supported mode),
+  * bilinear resizing uses half-pixel source centers (there is no
+    align_corners mode),
   * batch norm uses biased variance and updates running statistics as
     running = (1 - momentum) * running + momentum * batch_stat,
   * group_softmax subtracts the (detached) max over its group axis before
@@ -34,7 +34,6 @@ from __future__ import annotations
 
 import threading
 from contextlib import contextmanager
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -44,7 +43,6 @@ from scipy.special import erf, expit
 __all__ = [
     "Tensor",
     "Parameter",
-    "ConvSpec",
     "no_grad",
     "flop_meter",
     "add",
@@ -117,39 +115,17 @@ def _count(n):
         m.add(n)
 
 
-def _pair(v):
+def _pair(v, name, low=1):
+    """`v` (an int or a pair) as an (h, w) pair of ints, each >= `low`."""
     if isinstance(v, (tuple, list)):
         if len(v) != 2:
-            raise ValueError(f"expected a pair, got {v!r}")
-        return int(v[0]), int(v[1])
-    return int(v), int(v)
-
-
-@dataclass(frozen=True)
-class ConvSpec:
-    """Kernel geometry: per-axis kernel size, stride, dilation, padding, groups."""
-
-    kernel: tuple
-    stride: tuple = (1, 1)
-    dilation: tuple = (1, 1)
-    padding: tuple = (0, 0)
-    groups: int = 1
-
-    def __post_init__(self):
-        object.__setattr__(self, "kernel", _pair(self.kernel))
-        object.__setattr__(self, "stride", _pair(self.stride))
-        object.__setattr__(self, "dilation", _pair(self.dilation))
-        object.__setattr__(self, "padding", _pair(self.padding))
-        if min(self.kernel) < 1:
-            raise ValueError(f"kernel must be >= 1, got {self.kernel}")
-        if min(self.stride) < 1:
-            raise ValueError(f"stride must be >= 1, got {self.stride}")
-        if min(self.dilation) < 1:
-            raise ValueError(f"dilation must be >= 1, got {self.dilation}")
-        if min(self.padding) < 0:
-            raise ValueError(f"padding must be >= 0, got {self.padding}")
-        if self.groups < 1:
-            raise ValueError(f"groups must be >= 1, got {self.groups}")
+            raise ValueError(f"{name} must be an int or a pair, got {v!r}")
+        h, w = int(v[0]), int(v[1])
+    else:
+        h = w = int(v)
+    if h < low or w < low:
+        raise ValueError(f"{name} must be >= {low}, got {v!r}")
+    return h, w
 
 
 class NonFiniteError(ValueError):
@@ -528,7 +504,8 @@ def conv2d(x, w, b=None, stride=1, padding=0, dilation=1, groups=1):
     _check_4d(x, "conv input")
     if w.data.ndim != 4:
         raise ValueError(f"conv weight must be 4-D, got shape {w.data.shape}")
-    stride, padding, dilation = _pair(stride), _pair(padding), _pair(dilation)
+    stride, dilation = _pair(stride, "stride"), _pair(dilation, "dilation")
+    padding = _pair(padding, "padding", 0)
     g = int(groups)
 
     n, cin, h, wdt = x.data.shape
@@ -616,9 +593,9 @@ def avg_pool(x, kernel, stride=None, padding=0):
     """Average pooling; the divisor counts only valid (non-padding) cells."""
     x = _as_tensor(x)
     _check_4d(x, "pool input")
-    kernel = _pair(kernel)
-    stride = _pair(stride) if stride is not None else kernel
-    padding = _pair(padding)
+    kernel = _pair(kernel, "kernel")
+    stride = _pair(stride, "stride") if stride is not None else kernel
+    padding = _pair(padding, "padding", 0)
     (kh, kw), (ph, pw) = kernel, padding
     n, c, h, w = x.data.shape
     if kh > h + 2 * ph or kw > w + 2 * pw:
@@ -738,28 +715,19 @@ def _resize_matrix(n_in, n_out):
     return a
 
 
-def bilinear_resize(x, out_h, out_w, align_corners=False):
+def bilinear_resize(x, out_h, out_w):
     """Bilinear resampling with half-pixel source centers.
 
-    Separable: a 1-D interpolation matrix per axis. align_corners=True is
-    deliberately unsupported; half-pixel is the single convention here.
+    Separable: a 1-D interpolation matrix per axis. Half-pixel is the only
+    convention here (no align_corners mode). A same-size call takes the
+    same path: its matrices are identities.
     """
-    if align_corners:
-        raise ValueError("align_corners=True is not supported; use half-pixel mode")
     x = _as_tensor(x)
     _check_4d(x, "resize input")
     out_h, out_w = int(out_h), int(out_w)
     if out_h < 1 or out_w < 1:
         raise ValueError(f"resize target must be >= 1, got {out_h}x{out_w}")
-    n, c, h, w = x.data.shape
-    if (out_h, out_w) == (h, w):
-        out = x.data.copy()
-
-        def bwd_id(g):
-            _acc(x, g)
-
-        return _record(out, (x,), bwd_id)
-
+    h, w = x.data.shape[2:]
     ah = _resize_matrix(h, out_h)
     aw = _resize_matrix(w, out_w)
     tmp = np.einsum("oh,nchw->ncow", ah, x.data, optimize=True)

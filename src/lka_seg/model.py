@@ -123,7 +123,7 @@ class BoundaryGuidedFusion(Module):
         self.shortcut = Conv2d(detail_c, width, 1, rng, bias=False)
         self.out_conv = Conv2d(width, width, 3, rng, padding=1, bias=False)
 
-    def _parts(self, detail, semantic, boundary, mode):
+    def forward(self, detail, semantic, boundary, mode="eval"):
         dshape, sshape, bshape = (t.data.shape for t in (detail, semantic, boundary))
         if dshape[2:] != sshape[2:] or dshape[2:] != bshape[2:]:
             raise ValueError(
@@ -140,16 +140,7 @@ class BoundaryGuidedFusion(Module):
         rd = self.detail_refine(detail, mode)
         rs = self.semantic_refine(semantic, mode)
         balanced = E.add(E.mul(sigma, rd), E.mul(one_minus, rs))
-        out = self.out_conv(E.add(balanced, self.shortcut(detail, mode)), mode)
-        return out, balanced, sigma
-
-    def forward(self, detail, semantic, boundary, mode="eval"):
-        return self._parts(detail, semantic, boundary, mode)[0]
-
-    def forward_detailed(self, detail, semantic, boundary, mode="eval"):
-        """Forward that also returns the balanced blend and the gate value."""
-        out, balanced, sigma = self._parts(detail, semantic, boundary, mode)
-        return {"out": out, "balanced": balanced, "sigma": sigma}
+        return self.out_conv(E.add(balanced, self.shortcut(detail, mode)), mode)
 
     def cost(self, detail_shape, semantic_shape, boundary_shape, prefix=""):
         p = prefix or "fusion"
@@ -339,7 +330,7 @@ class BilateralNet(Module):
         stem = [((3, 3), (1, 1), (2, 2))] * 3
         return {
             "stem": stem,
-            "lka_small": [((5, 5), (1, 1), (1, 1))],
+            "lka_small": large_kernel_chain()[:1],
             "lka_strip_h": large_kernel_chain()[:2],
             "lka_large": large_kernel_chain(),
             "context_gate": large_kernel_chain(),

@@ -113,28 +113,30 @@ class Conv2d(Module):
     def __init__(self, cin, cout, kernel, rng, stride=1, padding=0, dilation=1,
                  groups=1, bias=True):
         super().__init__()
-        self.spec = E.ConvSpec(kernel=kernel, stride=stride, dilation=dilation,
-                               padding=padding, groups=groups)
-        if cin % groups or cout % groups:
+        self.kernel = E._pair(kernel, "kernel")
+        self.stride = E._pair(stride, "stride")
+        self.padding = E._pair(padding, "padding", 0)
+        self.dilation = E._pair(dilation, "dilation")
+        if groups < 1 or cin % groups or cout % groups:
             raise ValueError(
-                f"groups {groups} must divide both c_in {cin} and c_out {cout}"
+                f"groups {groups} must be >= 1 and divide both c_in {cin} "
+                f"and c_out {cout}"
             )
-        kh, kw = self.spec.kernel
+        kh, kw = self.kernel
         fan_in = (cin // groups) * kh * kw
-        self.cin, self.cout = cin, cout
+        self.cin, self.cout, self.groups = cin, cout, groups
         self.weight = E.Parameter(kaiming_normal(rng, (cout, cin // groups, kh, kw), fan_in))
         self.bias = E.Parameter(np.zeros(cout)) if bias else None
 
     def forward(self, x, mode="eval"):
-        s = self.spec
-        return E.conv2d(x, self.weight, self.bias, stride=s.stride,
-                        padding=s.padding, dilation=s.dilation, groups=s.groups)
+        return E.conv2d(x, self.weight, self.bias, stride=self.stride,
+                        padding=self.padding, dilation=self.dilation,
+                        groups=self.groups)
 
     def cost(self, in_shape, prefix=""):
-        s = self.spec
-        rec, out = costs.conv_cost(prefix or "conv", in_shape, self.cout, s.kernel,
-                                   s.stride, s.padding, s.dilation, s.groups,
-                                   self.bias is not None)
+        rec, out = costs.conv_cost(prefix or "conv", in_shape, self.cout, self.kernel,
+                                   self.stride, self.padding, self.dilation,
+                                   self.groups, self.bias is not None)
         return [rec], out
 
 

@@ -10,7 +10,7 @@ from lka_seg import cli
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "lka_seg"
 # engine.__all__ entries that are infrastructure rather than tensor ops
-NOT_OPS = {"Tensor", "Parameter", "ConvSpec", "no_grad", "flop_meter"}
+NOT_OPS = {"Tensor", "Parameter", "no_grad", "flop_meter"}
 
 
 def engine_references(text):
@@ -50,3 +50,11 @@ def test_readme_command_block_lists_every_subcommand():
 def test_cli_docstring_lists_every_subcommand():
     listed = re.search(r"Commands: ([^.]+)\.", cli.__doc__).group(1)
     assert listed.split(", ") == subcommands()
+
+
+def test_readme_layout_block_lists_every_module():
+    readme = (ROOT / "README.md").read_text()
+    block = readme.split("## Layout", 1)[1].split("```", 2)[1]
+    listed = re.findall(r"^  (\w+\.py) ", block, flags=re.M)
+    modules = sorted(p.name for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+    assert sorted(listed) == modules

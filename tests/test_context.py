@@ -27,10 +27,9 @@ def _bn_eval(x, bn):
 def _bn_act_conv_naive(x, seq):
     bn, _, conv = seq._items
     h = np.maximum(_bn_eval(x, bn), 0.0)
-    s = conv.spec
     b = None if conv.bias is None else conv.bias.data
-    return conv2d_naive(h, conv.weight.data, b, s.stride, s.padding,
-                        s.dilation, s.groups)
+    return conv2d_naive(h, conv.weight.data, b, conv.stride, conv.padding,
+                        conv.dilation, conv.groups)
 
 
 def pyramid_naive(mod, x):
@@ -40,10 +39,9 @@ def pyramid_naive(mod, x):
     if mod.style == "dlkppm":
         attn = r
         for conv in (mod.gate_small, mod.gate_h, mod.gate_v, mod.gate_proj):
-            s = conv.spec
             b = None if conv.bias is None else conv.bias.data
-            attn = conv2d_naive(attn, conv.weight.data, b, s.stride, s.padding,
-                                s.dilation, s.groups)
+            attn = conv2d_naive(attn, conv.weight.data, b, conv.stride,
+                                conv.padding, conv.dilation, conv.groups)
         r = attn * r
     levels = [r]
     for i, (k, s, p) in enumerate(POOL_SCALES):

@@ -172,15 +172,18 @@ class TestConvErrors:
             E.Tensor(np.array([[[[np.inf]]]]))
 
 
-def test_conv_spec_invariants():
-    spec = E.ConvSpec(kernel=(1, 11), dilation=(1, 3))
-    assert spec.kernel == (1, 11) and spec.dilation == (1, 3)
-    with pytest.raises(ValueError):
-        E.ConvSpec(kernel=0)
-    with pytest.raises(ValueError):
-        E.ConvSpec(kernel=3, dilation=0)
-    with pytest.raises(ValueError):
-        E.ConvSpec(kernel=3, padding=-1)
+def test_bad_window_rejected():
+    x = E.Tensor(np.ones((1, 1, 4, 4)))
+    w = E.Tensor(np.ones((1, 1, 3, 3)))
+    for name, kw in (("stride", dict(stride=0)), ("dilation", dict(dilation=0)),
+                     ("dilation", dict(dilation=(1, 0))),
+                     ("padding", dict(padding=-1))):
+        with pytest.raises(ValueError, match=name):
+            E.conv2d(x, w, **kw)
+    for name, args in (("stride", (2, 0)), ("padding", (2, 2, -1)),
+                       ("kernel", (0,))):
+        with pytest.raises(ValueError, match=name):
+            E.avg_pool(x, *args)
 
 
 # Every conv geometry the toy model runs: kernel, stride, padding, dilation,

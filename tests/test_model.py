@@ -27,42 +27,50 @@ def _fusion_inputs(rng, n=1, h=6, w=6):
     return detail, semantic, boundary
 
 
+def _blend(fuse, detail, semantic, boundary, sigma=None):
+    """Gate value, refined inputs and balanced blend, rebuilt from the
+    fusion's own parts; checks that `fuse` outputs out_conv(blend + shortcut).
+    """
+    if sigma is None:
+        sigma = expit(fuse.gate(boundary, "eval").data)
+    rd = fuse.detail_refine(detail, "eval").data
+    rs = fuse.semantic_refine(semantic, "eval").data
+    balanced = sigma * rd + (1.0 - sigma) * rs
+    shortcut = fuse.shortcut(detail, "eval").data
+    expected = fuse.out_conv(E.Tensor(balanced + shortcut), "eval").data
+    assert rel_err(fuse(detail, semantic, boundary, "eval").data, expected) < 1e-12
+    return sigma, rd, rs, balanced
+
+
 class TestBoundaryGuidedFusion:
     def test_zero_gate_means_even_blend(self, rng):
         fuse = BoundaryGuidedFusion(4, 6, 4, 5, rng)
         fuse.gate.weight.data[:] = 0
         fuse.gate.bias.data[:] = 0
-        detail, semantic, boundary = _fusion_inputs(rng)
-        parts = fuse.forward_detailed(detail, semantic, boundary, "eval")
-        assert np.allclose(parts["sigma"].data, 0.5)
-        rd = fuse.detail_refine(detail, "eval").data
-        rs = fuse.semantic_refine(semantic, "eval").data
-        assert rel_err(parts["balanced"].data, 0.5 * (rd + rs)) < 1e-14
+        sigma, rd, rs, balanced = _blend(fuse, *_fusion_inputs(rng))
+        assert np.allclose(sigma, 0.5)
+        assert rel_err(balanced, 0.5 * (rd + rs)) < 1e-14
 
     def test_saturated_gate_selects_detail(self, rng):
         fuse = BoundaryGuidedFusion(4, 6, 4, 5, rng)
         fuse.gate.weight.data[:] = 0
         fuse.gate.bias.data[:] = 40.0
-        detail, semantic, boundary = _fusion_inputs(rng)
-        parts = fuse.forward_detailed(detail, semantic, boundary, "eval")
-        rd = fuse.detail_refine(detail, "eval").data
-        assert np.abs(parts["balanced"].data - rd).max() < 1e-12
+        _, rd, _, balanced = _blend(fuse, *_fusion_inputs(rng))
+        assert np.abs(balanced - rd).max() < 1e-12
 
     def test_sigma_strictly_inside_unit_interval(self, rng):
         fuse = BoundaryGuidedFusion(4, 6, 4, 5, rng)
-        detail, semantic, boundary = _fusion_inputs(rng)
-        sigma = fuse.forward_detailed(detail, semantic, boundary, "eval")["sigma"].data
+        sigma = _blend(fuse, *_fusion_inputs(rng))[0]
         assert (sigma > 0).all() and (sigma < 1).all()
 
     def test_monotone_toward_detail(self, rng):
         fuse = BoundaryGuidedFusion(4, 6, 4, 5, rng)
-        detail, semantic, boundary = _fusion_inputs(rng)
-        rd = fuse.detail_refine(detail, "eval").data
+        inputs = _fusion_inputs(rng)
         gaps = []
         for bias in (0.0, 1.0, 2.0, 4.0):
             fuse.gate.bias.data[:] = bias
-            parts = fuse.forward_detailed(detail, semantic, boundary, "eval")
-            gaps.append(np.abs(parts["balanced"].data - rd))
+            _, rd, _, balanced = _blend(fuse, *inputs)
+            gaps.append(np.abs(balanced - rd))
         for a, b in zip(gaps, gaps[1:]):
             assert (b <= a + 1e-15).all()
 
@@ -87,10 +95,9 @@ class TestBoundaryGuidedFusion:
             return conv2d_naive(h_, conv.weight.data, None, (1, 1), (1, 1),
                                 (1, 1), 1)
 
-        gspec = fuse.gate.spec
-        sig = expit(conv2d_naive(boundary, fuse.gate.weight.data,
-                                 fuse.gate.bias.data, gspec.stride,
-                                 gspec.padding, gspec.dilation, 1))
+        gate = fuse.gate
+        sig = expit(conv2d_naive(boundary, gate.weight.data, gate.bias.data,
+                                 gate.stride, gate.padding, gate.dilation, 1))
         balanced = sig * refine(detail, fuse.detail_refine) \
             + (1 - sig) * refine(semantic, fuse.semantic_refine)
         shortcut = conv2d_naive(detail, fuse.shortcut.weight.data, None,
@@ -101,9 +108,10 @@ class TestBoundaryGuidedFusion:
 
     def test_fixed_sigma_bypasses_gate(self, rng):
         fuse = BoundaryGuidedFusion(4, 6, 4, 5, rng, fixed_sigma=0.5)
-        detail, semantic, boundary = _fusion_inputs(rng)
-        parts = fuse.forward_detailed(detail, semantic, boundary, "eval")
-        assert np.allclose(parts["sigma"].data, 0.5)
+        inputs = _fusion_inputs(rng)
+        _blend(fuse, *inputs, sigma=0.5)
+        fuse.gate.bias.data[:] = 40.0
+        _blend(fuse, *inputs, sigma=0.5)
 
     def test_spatial_mismatch_rejected(self, rng):
         fuse = BoundaryGuidedFusion(4, 6, 4, 5, rng)

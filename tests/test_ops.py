@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import lka_seg.engine as E
+from helpers import sum_all
 from oracles import avg_pool_naive, bilinear_naive, gelu_naive, rel_err
 
 
@@ -129,8 +130,13 @@ class TestActivations:
 class TestBilinearResize:
     def test_identity_size(self):
         rng = np.random.default_rng(6)
-        x = rng.normal(size=(1, 2, 5, 5))
-        np.testing.assert_array_equal(E.bilinear_resize(E.Tensor(x), 5, 5).data, x)
+        for shape in ((1, 2, 5, 5), (2, 1, 1, 1), (1, 3, 4, 7)):
+            x = E.Parameter(rng.normal(size=shape))
+            out = E.bilinear_resize(x, *shape[2:])
+            np.testing.assert_array_equal(out.data, x.data)
+            g = rng.normal(size=shape)
+            sum_all(E.mul(out, E.Tensor(g))).backward()
+            np.testing.assert_array_equal(x.grad, g)
 
     def test_constant_input(self):
         x = np.full((1, 3, 4, 4), 0.77)
@@ -162,11 +168,6 @@ class TestBilinearResize:
         x = rng.normal(size=(2, 3, 5, 7))
         out = E.bilinear_resize(E.Tensor(x), 11, 4)
         assert rel_err(out.data, bilinear_naive(x, 11, 4)) < 1e-13
-
-    def test_align_corners_unsupported(self):
-        with pytest.raises(ValueError, match="align_corners"):
-            E.bilinear_resize(E.Tensor(np.zeros((1, 1, 2, 2))), 4, 4,
-                              align_corners=True)
 
 
 class TestGroupSoftmax:
