@@ -65,21 +65,21 @@ class KernelSelector(Module):
         self.channel_dw = Conv2d(self.BRANCHES * channels, self.BRANCHES * channels,
                                  1, rng, groups=self.BRANCHES * channels)
 
-    def weights(self, branches, mode="eval"):
-        """Per-branch mixing weights, each (n, c, h, w), summing to 1."""
+    def _logits(self, branches, mode):
+        """Spatial logits (n, 3, h, w) and channel logits (n, 3c, 1, 1)."""
         b0, b1, b2 = branches
-        c = self.channels
         u = E.add(E.add(b0, b1), b2)
         stats = E.concat([E.channel_mean(u), E.channel_max(u)])
         s = self.spatial_conv(stats, mode)
         d = E.global_avg_pool(u)
         cvec = self.channel_dw(E.gelu(self.channel_pw(d, mode)), mode)
-        logits = E.concat([
-            E.mul(E.channel_slice(s, i, i + 1), E.channel_slice(cvec, i * c, (i + 1) * c))
-            for i in range(self.BRANCHES)
-        ])
-        w = E.group_softmax(logits, self.BRANCHES)
-        return [E.channel_slice(w, i * c, (i + 1) * c) for i in range(self.BRANCHES)]
+        return s, cvec
+
+    def weights(self, branches, mode="eval"):
+        """Per-branch mixing weights, each (n, c, h, w), summing to 1 (off the tape)."""
+        s, cvec = self._logits(branches, mode)
+        wts = E._select_weights(s.data, cvec.data)
+        return [E.Tensor(wts[:, i]) for i in range(self.BRANCHES)]
 
     def forward(self, branches, mode="eval"):
         shapes = {b.data.shape for b in branches}
@@ -88,11 +88,7 @@ class KernelSelector(Module):
                 f"selector needs {self.BRANCHES} same-shape branches, got "
                 f"{[b.data.shape for b in branches]}"
             )
-        ws = self.weights(branches, mode)
-        out = E.mul(ws[0], branches[0])
-        for w, b in zip(ws[1:], branches[1:]):
-            out = E.add(out, E.mul(w, b))
-        return out
+        return E.select_mix(*self._logits(branches, mode), branches)
 
     def cost(self, in_shape, prefix=""):
         n, c, h, w = in_shape

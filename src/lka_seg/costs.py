@@ -7,13 +7,17 @@ walk (this module) and the runtime meter inside `lka_seg.engine`:
   conv bias          c_out * oh * ow * n
   normalization      2 per element
   activation         1 per element (relu / gelu / sigmoid alike)
-  group softmax      4 per input element
+  selector mix       per joint logit: 1 (s_i * cvec_i) + 4 (softmax across
+                     branches); per output element: k muls + (k - 1) adds
   average pooling    kh * kw per output element
   global avg pool    1 per input element
   bilinear resize    8 per output element
   elementwise op     1 per output element (add, sub, mul)
   channel mean/max   1 per input element
-  concat / slice     0
+  concat             0
+
+FLOPs are nominal: every kernel tap is charged, including the taps the
+engine skips because they read only padding (`engine._live_taps`).
 
 The two sides implement this table independently; the acceptance suite
 pins them to exact integer equality on whole models.

@@ -14,6 +14,18 @@ c_out) multiplies and accumulates one kernel tap at a time. Every other
 conv is one batched matmul of the per-group weight matrix against the
 im2col columns, shaped (n, groups, c_in/groups * kh * kw, oh * ow).
 
+Taps that read only padding are skipped (`_live_taps`): a dilated strip
+on a small map reaches far past its border, and such a tap would add
+exact zeros. The depthwise forward and weight gradient and every
+`_scatter_taps` loop run over the live tap rows and columns only, so
+results are unchanged apart from the sign of an exact zero. The FLOP
+meter still charges every nominal tap.
+
+`select_mix` is the kernel selector's whole mix in one op: the joint
+spatial-times-channel logits, the softmax across branches
+(`_select_weights`) and the weighted sum of the branches, with one
+hand-written backward.
+
 The autodiff graph is a define-by-run tape: every operation that sees a
 grad-requiring input records a backward closure on its output.
 
@@ -22,8 +34,8 @@ Conventions fixed here and relied on everywhere else:
     align_corners mode),
   * batch norm uses biased variance and updates running statistics as
     running = (1 - momentum) * running + momentum * batch_stat,
-  * group_softmax subtracts the (detached) max over its group axis before
-    exp.
+  * the selector softmax subtracts the (detached) max over its branch
+    axis before exp.
 
 A process-wide FLOP meter can be armed with `flop_meter()`; while armed,
 every primitive adds its cost using the conventions documented in
@@ -49,13 +61,12 @@ __all__ = [
     "sub",
     "mul",
     "concat",
-    "channel_slice",
     "channel_mean",
     "channel_max",
     "relu",
     "gelu",
     "sigmoid",
-    "group_softmax",
+    "select_mix",
     "conv2d",
     "avg_pool",
     "global_avg_pool",
@@ -312,21 +323,6 @@ def concat(tensors, axis=1):
     return _record(out, tuple(tensors), bwd)
 
 
-def channel_slice(x, start, stop):
-    """View of channels [start:stop); gradient zero-pads the complement."""
-    x = _as_tensor(x)
-    if not (0 <= start < stop <= x.data.shape[1]):
-        raise ValueError(f"channel slice [{start}:{stop}) out of range for {x.data.shape}")
-    out = x.data[:, start:stop]
-
-    def bwd(g):
-        full = np.zeros_like(x.data)
-        full[:, start:stop] = g
-        _acc(x, full)
-
-    return _record(out, (x,), bwd)
-
-
 def channel_mean(x):
     """Mean over the channel axis, keepdims: (n, 1, h, w)."""
     x = _as_tensor(x)
@@ -395,29 +391,62 @@ def sigmoid(x):
     return _record(s, (x,), bwd)
 
 
-def group_softmax(x, groups):
-    """Softmax across `groups` equal channel blocks at each (n, c, h, w).
+def _select_weights(s, cvec):
+    """Softmax across branches of the joint logits s_i * cvec_i (numpy).
 
-    Channels are viewed as (groups, c // groups); the softmax runs over the
-    group axis, so corresponding channels of each block compete.
+    s: (n, k, h, w) spatial logits, one map per branch; cvec: (n, k*c, 1, 1)
+    channel logits, branch-major. Returns the weights (n, k, c, h, w); at
+    every (n, c, h, w) they are >= 0 and sum to 1 over the k branches.
     """
-    x = _as_tensor(x)
-    n, c, h, w = x.data.shape
-    if c % groups:
-        raise ValueError(f"channels {c} not divisible by groups {groups}")
-    v = x.data.reshape(n, groups, c // groups, h, w)
-    z = v - v.max(axis=1, keepdims=True)
+    n, k = s.shape[:2]
+    if cvec.shape[1] % k:
+        raise ValueError(
+            f"channel logits {cvec.shape[1]} not divisible by {k} branches")
+    logits = s[:, :, None] * cvec.reshape(n, k, -1, 1, 1)
+    z = logits - logits.max(axis=1, keepdims=True)
     e = np.exp(z)
-    s = e / e.sum(axis=1, keepdims=True)
-    _count(4 * x.data.size)
-    out = s.reshape(n, c, h, w)
+    return e / e.sum(axis=1, keepdims=True)
+
+
+def select_mix(s, cvec, branches):
+    """Selector mix: sum_i w_i * b_i with w = `_select_weights(s, cvec)`.
+
+    s: (n, k, h, w); cvec: (n, k*c, 1, 1); branches: k tensors (n, c, h, w).
+    """
+    s, cvec = _as_tensor(s), _as_tensor(cvec)
+    bs = [_as_tensor(b) for b in branches]
+    _check_4d(s, "selector logits")
+    n, k, h, w = s.data.shape
+    c = cvec.data.shape[1] // k if cvec.data.ndim == 4 else -1
+    if cvec.data.shape != (n, k * c, 1, 1) or len(bs) != k or any(
+            b.data.shape != (n, c, h, w) for b in bs):
+        raise ValueError(
+            f"selector logits {s.data.shape} need channel logits (n, k*c, 1, 1) "
+            f"and k branches (n, c, h, w), got {cvec.data.shape} and "
+            f"{[b.data.shape for b in bs]}")
+    wts = _select_weights(s.data, cvec.data)
+    out = wts[:, 0] * bs[0].data
+    for i in range(1, k):
+        out = out + wts[:, i] * bs[i].data
+    # joint logits 1 and softmax 4 per logit; k muls and k - 1 adds per output
+    _count(5 * wts.size + (2 * k - 1) * out.size)
 
     def bwd(g):
-        gv = g.reshape(n, groups, c // groups, h, w)
-        dot = (gv * s).sum(axis=1, keepdims=True)
-        _acc(x, (s * (gv - dot)).reshape(n, c, h, w))
+        for i, b in enumerate(bs):
+            if b.requires_grad:
+                _acc(b, g * wts[:, i])
+        if s.requires_grad or cvec.requires_grad:
+            gw = np.empty_like(wts)
+            for i, b in enumerate(bs):
+                np.multiply(g, b.data, out=gw[:, i])
+            gl = wts * (gw - (gw * wts).sum(axis=1, keepdims=True))
+            if s.requires_grad:
+                _acc(s, (gl * cvec.data.reshape(n, k, -1, 1, 1)).sum(axis=2))
+            if cvec.requires_grad:
+                _acc(cvec, (gl * s.data[:, :, None]).sum(axis=(3, 4)).reshape(
+                    cvec.data.shape))
 
-    return _record(out, (x,), bwd)
+    return _record(out, (s, cvec, *bs), bwd)
 
 
 # ---------------------------------------------------------------------------
@@ -472,21 +501,38 @@ def _windows(xp, kernel, stride, dilation):
                       writeable=False)
 
 
+@lru_cache(maxsize=None)
+def _live_taps(size, kernel, stride, padding, dilation, out):
+    """Kernel tap rows and columns that read at least one input cell.
+
+    Per axis, tap i of output y reads input cell i*d - p + y*s (y < o, the
+    output size). The tap is dead when its first read lies past the input
+    (i*d - p >= size) or its last before it (i*d - p + (o-1)*s < 0). The
+    test is sufficient, not exact: a tap whose reads straddle the input
+    but step over every cell (stride > size) is kept.
+    """
+    return tuple(
+        tuple(i for i in range(k) if i * d - p < n and i * d - p + (o - 1) * s >= 0)
+        for n, k, s, p, d, o in zip(size, kernel, stride, padding, dilation, out))
+
+
 def _scatter_taps(xp, tap_grad, kernel, stride, dilation, padding):
     """Adjoint of `_windows` over `_pad`: the gradient w.r.t. the unpadded input.
 
     Adds `tap_grad(i, j)`, the (n, c, oh, ow) gradient reaching tap (i, j),
-    onto a zero grid laid out like the padded input `xp`, taps in row-major
-    order, then crops the padding.
+    onto a zero grid laid out like the padded input `xp`, live taps in
+    row-major order, then crops the padding. A dead tap would add only to
+    the cropped border, so it is skipped.
     """
-    kh, kw = kernel
     (sh, sw), (dh, dw), (ph, pw) = stride, dilation, padding
     hp, wp = xp.shape[2:]
     oh, ow = _out_hw(hp, wp, kernel, stride, (0, 0), dilation)
+    rows, cols = _live_taps((hp - 2 * ph, wp - 2 * pw), kernel, stride, padding,
+                            dilation, (oh, ow))
     gxp = np.zeros_like(xp)
-    for i in range(kh):
+    for i in rows:
         hs = slice(i * dh, i * dh + sh * oh, sh)
-        for j in range(kw):
+        for j in cols:
             ws = slice(j * dw, j * dw + sw * ow, sw)
             gxp[:, :, hs, ws] += tap_grad(i, j)
     if ph or pw:
@@ -509,8 +555,8 @@ def conv2d(x, w, b=None, stride=1, padding=0, dilation=1, groups=1):
     g = int(groups)
 
     n, cin, h, wdt = x.data.shape
-    cout, cg, kh, kw = w.data.shape
-    kernel = (kh, kw)
+    cout, cg = w.data.shape[:2]
+    kernel = kh, kw = _pair(w.data.shape[2:], "kernel")
     if g < 1:
         raise ValueError(f"groups must be >= 1, got {g}")
     if cin % g:
@@ -540,10 +586,11 @@ def conv2d(x, w, b=None, stride=1, padding=0, dilation=1, groups=1):
     depthwise_path = g == cin == cout
 
     if depthwise_path:
-        # per-channel taps: accumulate w[c, 0, i, j] * window tap
+        # per-channel taps: accumulate w[c, 0, i, j] * window tap, live taps only
+        rows, cols = _live_taps((h, wdt), kernel, stride, padding, dilation, (oh, ow))
         out = np.zeros((n, cout, oh, ow))
-        for i in range(kh):
-            for j in range(kw):
+        for i in rows:
+            for j in cols:
                 out += win[:, :, :, :, i, j] * w.data[None, :, 0, i, j, None, None]
     else:
         # one batched contraction over (n, group): (cout/g, cg*kh*kw) @ cols
@@ -563,9 +610,9 @@ def conv2d(x, w, b=None, stride=1, padding=0, dilation=1, groups=1):
             _acc(b, g_out.sum(axis=(0, 2, 3)))
         if depthwise_path:
             if w.requires_grad:
-                gw = np.empty_like(w.data)
-                for i in range(kh):
-                    for j in range(kw):
+                gw = np.zeros_like(w.data)  # a dead tap's gradient is zero
+                for i in rows:
+                    for j in cols:
                         gw[:, 0, i, j] = (g_out * win[:, :, :, :, i, j]).sum(
                             axis=(0, 2, 3))
                 _acc(w, gw)

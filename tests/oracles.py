@@ -47,6 +47,38 @@ def conv2d_naive(x, w, b=None, stride=(1, 1), padding=(0, 0), dilation=(1, 1), g
     return out
 
 
+def conv2d_naive_grads(x, w, gout, stride=(1, 1), padding=(0, 0), dilation=(1, 1),
+                       groups=1):
+    """Gradients (x, w, b) of <conv2d_naive(x, w, b), gout>, the same six loops."""
+    n, cin, h, wd = x.shape
+    cout, cg, kh, kw = w.shape
+    sh, sw = stride
+    ph, pw = padding
+    dh, dw = dilation
+    _, _, oh, ow = gout.shape
+    gx = np.zeros_like(x)
+    gw = np.zeros_like(w)
+    cout_g = cout // groups
+    for ni in range(n):
+        for co in range(cout):
+            grp = co // cout_g
+            for oy in range(oh):
+                for ox in range(ow):
+                    g = gout[ni, co, oy, ox]
+                    for ci in range(cg):
+                        for ky in range(kh):
+                            iy = oy * sh + ky * dh - ph
+                            if iy < 0 or iy >= h:
+                                continue
+                            for kx in range(kw):
+                                ix = ox * sw + kx * dw - pw
+                                if ix < 0 or ix >= wd:
+                                    continue
+                                gx[ni, grp * cg + ci, iy, ix] += g * w[co, ci, ky, kx]
+                                gw[co, ci, ky, kx] += g * x[ni, grp * cg + ci, iy, ix]
+    return gx, gw, gout.sum(axis=(0, 2, 3))
+
+
 def avg_pool_naive(x, kernel, stride, padding):
     """Window-enumeration average pooling, divisor = valid cells only."""
     n, c, h, w = x.shape
@@ -73,6 +105,26 @@ def avg_pool_naive(x, kernel, stride, padding):
                             cnt += 1
                     out[ni, ci, oy, ox] = acc / cnt
     return out
+
+
+def avg_pool_naive_grad(x_shape, gout, kernel, stride, padding):
+    """Gradient of <avg_pool_naive(x), gout> w.r.t. x: each window's share."""
+    n, c, h, w = x_shape
+    kh, kw = kernel
+    sh, sw = stride
+    ph, pw = padding
+    _, _, oh, ow = gout.shape
+    gx = np.zeros(x_shape)
+    for ni in range(n):
+        for ci in range(c):
+            for oy in range(oh):
+                for ox in range(ow):
+                    cells = [(oy * sh + ky - ph, ox * sw + kx - pw)
+                             for ky in range(kh) for kx in range(kw)]
+                    cells = [(iy, ix) for iy, ix in cells if 0 <= iy < h and 0 <= ix < w]
+                    for iy, ix in cells:
+                        gx[ni, ci, iy, ix] += gout[ni, ci, oy, ox] / len(cells)
+    return gx
 
 
 def bilinear_naive(x, out_h, out_w):

@@ -193,9 +193,11 @@ def test_criterion_4_gradient_audit():
         xa = E.Parameter(rng.normal(size=(1, 3, 6, 6)) + 0.05)
         da = direction((1, 3, 6, 6))
         gradcheck(lambda op=op, xa=xa, da=da: sum_all(E.mul(op(xa), da)), [xa])
-    xs = E.Parameter(rng.normal(size=(1, 6, 4, 4)))
-    dsoft = direction((1, 6, 4, 4))
-    gradcheck(lambda: sum_all(E.mul(E.group_softmax(xs, 3), dsoft)), [xs])
+    ss = E.Parameter(rng.normal(size=(1, 3, 4, 4)))
+    cs = E.Parameter(rng.normal(size=(1, 6, 1, 1)))
+    bs = [E.Parameter(rng.normal(size=(1, 2, 4, 4))) for _ in range(3)]
+    dmix = direction((1, 2, 4, 4))
+    gradcheck(lambda: sum_all(E.mul(E.select_mix(ss, cs, bs), dmix)), [ss, cs, *bs])
     xr = E.Parameter(rng.normal(size=(1, 2, 5, 7)))
     dr = direction((1, 2, 8, 5))
     gradcheck(lambda: sum_all(E.mul(E.bilinear_resize(xr, 8, 5), dr)), [xr])

@@ -76,10 +76,13 @@ class TestPrimitiveGradients:
             d = E.Tensor(rng.normal(size=(1, 2, 4, 4)))
             gradcheck(lambda op=op, x=x, d=d: sum_all(E.mul(op(x), d)), [x])
 
-    def test_group_softmax(self, rng):
-        x = E.Parameter(rng.normal(size=(1, 6, 3, 3)))
-        d = E.Tensor(rng.normal(size=(1, 6, 3, 3)))
-        gradcheck(lambda: sum_all(E.mul(E.group_softmax(x, 3), d)), [x])
+    def test_select_mix(self, rng):
+        s = E.Parameter(rng.normal(size=(2, 3, 3, 4)))
+        cvec = E.Parameter(rng.normal(size=(2, 6, 1, 1)))
+        branches = [E.Parameter(rng.normal(size=(2, 2, 3, 4))) for _ in range(3)]
+        d = E.Tensor(rng.normal(size=(2, 2, 3, 4)))
+        gradcheck(lambda: sum_all(E.mul(E.select_mix(s, cvec, branches), d)),
+                  [s, cvec, *branches])
 
     def test_conv2d(self, rng):
         x = E.Parameter(rng.normal(size=(2, 4, 6, 6)))
@@ -137,12 +140,11 @@ class TestPrimitiveGradients:
         d = E.Tensor(rng.normal(size=(1, 2, 9, 5)))
         gradcheck(lambda: sum_all(E.mul(E.bilinear_resize(x, 9, 5), d)), [x])
 
-    def test_concat_slice(self, rng):
+    def test_concat(self, rng):
         a = E.Parameter(rng.normal(size=(1, 2, 3, 3)))
         b = E.Parameter(rng.normal(size=(1, 3, 3, 3)))
-        d = E.Tensor(rng.normal(size=(1, 2, 3, 3)))
-        gradcheck(lambda: sum_all(E.mul(
-            E.channel_slice(E.concat([a, b]), 1, 3), d)), [a, b])
+        d = E.Tensor(rng.normal(size=(1, 5, 3, 3)))
+        gradcheck(lambda: sum_all(E.mul(E.concat([a, b]), d)), [a, b])
 
     def test_channel_reductions(self, rng):
         x = E.Parameter(rng.normal(size=(1, 4, 3, 3)))

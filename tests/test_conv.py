@@ -7,8 +7,9 @@ import pytest
 
 import lka_seg.engine as E
 from lka_seg.context import POOL_SCALES
-from helpers import sum_all
-from oracles import avg_pool_naive, conv2d_naive, expand_kernel, rel_err
+from helpers import gradcheck, sum_all
+from oracles import (avg_pool_naive, avg_pool_naive_grad, conv2d_naive,
+                     conv2d_naive_grads, expand_kernel, rel_err)
 
 
 def test_scalar_product():
@@ -180,6 +181,8 @@ def test_bad_window_rejected():
                      ("padding", dict(padding=-1))):
         with pytest.raises(ValueError, match=name):
             E.conv2d(x, w, **kw)
+    with pytest.raises(ValueError, match="kernel"):
+        E.conv2d(x, E.Tensor(np.ones((1, 1, 0, 3))))
     for name, args in (("stride", (2, 0)), ("padding", (2, 2, -1)),
                        ("kernel", (0,))):
         with pytest.raises(ValueError, match=name):
@@ -248,6 +251,66 @@ def test_model_pool_geometries_match_oracle(scale):
     assert abs(float((x * xt.grad).sum()) - inner) < 1e-12 * np.abs(ref * d).sum()
 
 
+# Geometries whose taps partly read only padding: (x shape, kernel, stride,
+# padding, dilation, depthwise). The strips on 8x8 down to 1x1 maps are the
+# attention's; strided convs and the pool reach the `_scatter_taps` skip.
+DEAD_TAP_CONVS = [
+    *(((1, 2, s, s), (1, 11), (1, 1), (0, 15), (1, 3), True) for s in (8, 4, 2, 1)),
+    *(((1, 2, s, s), (11, 1), (1, 1), (15, 0), (3, 1), True) for s in (8, 4, 2, 1)),
+    ((2, 2, 2, 2), (5, 5), (1, 1), (2, 2), (1, 1), True),
+    ((1, 2, 4, 4), (5, 5), (2, 2), (6, 6), (3, 3), True),
+    ((1, 2, 4, 5), (5, 5), (2, 2), (6, 6), (3, 3), False),
+    ((1, 2, 1, 6), (5, 5), (1, 1), (2, 2), (1, 1), True),  # one live tap row
+]
+
+
+@pytest.mark.parametrize("geometry", DEAD_TAP_CONVS)
+def test_dead_taps_match_oracle(geometry):
+    shape, kernel, stride, padding, dilation, dw = geometry
+    out_hw = E._out_hw(*shape[2:], kernel, stride, padding, dilation)
+    rows, cols = E._live_taps(shape[2:], kernel, stride, padding, dilation, out_hw)
+    assert len(rows) * len(cols) < kernel[0] * kernel[1]
+    if shape[2] == 1 and kernel[0] > 1:
+        assert len(rows) == 1
+    rng = np.random.default_rng(24)
+    x = rng.normal(size=shape)
+    cin = shape[1]
+    groups = cin if dw else 1
+    cout = cin if dw else 3
+    wgt = rng.normal(size=(cout, cin // groups, *kernel))
+    b = rng.normal(size=(cout,))
+    kw = dict(stride=stride, padding=padding, dilation=dilation, groups=groups)
+    xt, wt, bt = E.Parameter(x), E.Parameter(wgt), E.Parameter(b)
+    out = E.conv2d(xt, wt, bt, **kw)
+    ref = conv2d_naive(x, wgt, b, stride, padding, dilation, groups)
+    assert rel_err(out.data, ref) < 1e-12
+    d = rng.normal(size=ref.shape)
+    sum_all(E.mul(out, E.Tensor(d))).backward()
+    for got, want in zip((xt.grad, wt.grad, bt.grad),
+                         conv2d_naive_grads(x, wgt, d, stride, padding, dilation, groups)):
+        assert rel_err(got, want) < 1e-12
+    xt.grad = wt.grad = bt.grad = None
+    dt = E.Tensor(d)
+    gradcheck(lambda: sum_all(E.mul(E.conv2d(xt, wt, bt, **kw), dt)), [xt, wt, bt])
+
+
+@pytest.mark.parametrize("shape", [(1, 2, 2, 3), (1, 1, 1, 1)])
+def test_dead_pool_taps_match_oracle(shape):
+    # the pyramid's smallest pool (5, stride 2, padding 2) on maps it overhangs
+    rng = np.random.default_rng(25)
+    x = rng.normal(size=shape)
+    xt = E.Parameter(x)
+    out = E.avg_pool(xt, 5, 2, 2)
+    ref = avg_pool_naive(x, (5, 5), (2, 2), (2, 2))
+    assert rel_err(out.data, ref) < 1e-12
+    d = rng.normal(size=ref.shape)
+    sum_all(E.mul(out, E.Tensor(d))).backward()
+    assert rel_err(xt.grad, avg_pool_naive_grad(shape, d, (5, 5), (2, 2), (2, 2))) < 1e-12
+    xt.grad = None
+    dt = E.Tensor(d)
+    gradcheck(lambda: sum_all(E.mul(E.avg_pool(xt, 5, 2, 2), dt)), [xt])
+
+
 def _forward_backward(op, *leaves):
     out = op(*leaves)
     d = np.linspace(-1.0, 1.0, out.data.size).reshape(out.data.shape)
@@ -268,17 +331,15 @@ def test_non_contiguous_input_matches_contiguous_copy(padding, dw):
     )
     for op in ops:
         # a channel slice of a wider map, and a transposed array
-        full = E.Parameter(rng.normal(size=(2, c + 2, 9, 8)))
-        sliced = E.channel_slice(full, 1, 1 + c)
+        sliced = E.Parameter(rng.normal(size=(2, c + 2, 9, 8))[:, 1:1 + c])
         transposed = E.Parameter(rng.normal(size=(8, 9, c, 2)).transpose(3, 2, 1, 0))
-        for x, x_grad in ((sliced, lambda: full.grad[:, 1:1 + c]),
-                          (transposed, lambda: transposed.grad)):
+        for x in (sliced, transposed):
             assert not x.data.flags.c_contiguous
             w = E.Parameter(wdata)
             out = _forward_backward(op, x, w)
             xc, wc = E.Parameter(np.ascontiguousarray(x.data)), E.Parameter(wdata)
             assert np.array_equal(out, _forward_backward(op, xc, wc))
-            assert np.array_equal(x_grad(), xc.grad)
+            assert np.array_equal(x.grad, xc.grad)
             assert (w.grad is None and wc.grad is None) or np.array_equal(w.grad, wc.grad)
 
 

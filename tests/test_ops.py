@@ -100,8 +100,8 @@ class TestActivations:
         assert E.sigmoid(E.Tensor(np.zeros((1, 1, 1, 1)))).data[0, 0, 0, 0] == 0.5
 
     def test_softmax_uniform(self):
-        out = E.group_softmax(E.Tensor(np.zeros((1, 3, 1, 1))), 3)
-        assert np.allclose(out.data, 1.0 / 3.0)
+        out = E._select_weights(np.zeros((1, 3, 1, 1)), np.ones((1, 3, 1, 1)))
+        assert np.allclose(out, 1.0 / 3.0)
 
     def test_gelu_matches_erf_oracle(self):
         grid = np.linspace(-5.0, 5.0, 100)
@@ -110,17 +110,19 @@ class TestActivations:
         assert np.abs(out.data.ravel() - ref).max() < 1e-12
 
     def test_softmax_shift_invariance(self):
+        # unit channel logits: the joint logits are the spatial ones
         rng = np.random.default_rng(4)
         x = rng.normal(size=(2, 5, 3, 3))
-        a = E.group_softmax(E.Tensor(x), 5)
-        b = E.group_softmax(E.Tensor(x + 123.456), 5)
-        assert rel_err(a.data, b.data) < 1e-12
+        ones = np.ones((2, 5, 1, 1))
+        a = E._select_weights(x, ones)
+        b = E._select_weights(x + 123.456, ones)
+        assert rel_err(a, b) < 1e-12
 
     def test_softmax_sums_to_one(self):
         rng = np.random.default_rng(5)
         x = rng.normal(size=(2, 7, 4, 4)) * 50
-        out = E.group_softmax(E.Tensor(x), 7)
-        assert np.abs(out.data.sum(axis=1) - 1.0).max() < 1e-12
+        out = E._select_weights(x, rng.normal(size=(2, 14, 1, 1)))
+        assert np.abs(out.sum(axis=1) - 1.0).max() < 1e-12
 
     def test_relu(self):
         x = np.array([[-1.0, 0.0, 2.0]]).reshape(1, 1, 1, 3)
@@ -171,17 +173,30 @@ class TestBilinearResize:
 
 
 class TestGroupSoftmax:
+    """The selector's softmax across branch groups, `engine._select_weights`."""
+
     def test_simplex(self):
         rng = np.random.default_rng(8)
-        x = rng.normal(size=(2, 9, 4, 4)) * 10
-        out = E.group_softmax(E.Tensor(x), 3)
-        stacked = out.data.reshape(2, 3, 3, 4, 4)
-        assert (out.data >= 0).all()
-        assert np.abs(stacked.sum(axis=1) - 1.0).max() < 1e-12
+        out = E._select_weights(rng.normal(size=(2, 3, 4, 4)) * 10,
+                                rng.normal(size=(2, 9, 1, 1)))
+        assert out.shape == (2, 3, 3, 4, 4)
+        assert (out >= 0).all()
+        assert np.abs(out.sum(axis=1) - 1.0).max() < 1e-12
 
     def test_rejects_indivisible(self):
         with pytest.raises(ValueError, match="divisible"):
-            E.group_softmax(E.Tensor(np.zeros((1, 5, 2, 2))), 3)
+            E._select_weights(np.zeros((1, 3, 2, 2)), np.zeros((1, 5, 1, 1)))
+
+
+def test_select_mix_rejects_mismatched_shapes():
+    s = E.Tensor(np.zeros((1, 3, 2, 2)))
+    b = E.Tensor(np.zeros((1, 2, 2, 2)))
+    for cvec, branches in ((np.zeros((1, 6, 1, 1)), [b, b]),
+                           (np.zeros((1, 6, 1, 1)), [b, b, E.Tensor(np.zeros((1, 2, 2, 3)))]),
+                           (np.zeros((1, 6, 2, 2)), [b, b, b]),
+                           (np.zeros((1, 5, 1, 1)), [b, b, b])):
+        with pytest.raises(ValueError, match="selector logits"):
+            E.select_mix(s, E.Tensor(cvec), branches)
 
 
 def test_channel_mean_max():

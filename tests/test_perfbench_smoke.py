@@ -5,7 +5,8 @@
 change that renames or deletes one of them breaks the benchmark without
 failing any other test. The run also checks a probe scene's logits
 against `perfbench/reference.json` to 1e-12 and the traced FLOPs against
-`count_flops` exactly.
+`count_flops` exactly. The op counts of one b1 64x64 forward are capped,
+so re-splitting the kernel selector's fused mix into small ops fails here.
 """
 
 import json
@@ -29,3 +30,5 @@ def test_traced_infer_64_run_passes_its_checks():
     assert result["failed"] == 0
     assert checks["probe"] is True
     assert checks["flops_traced_equal_static"] is True
+    assert result["metrics"]["engine.ops"]["value"] <= 273
+    assert result["metrics"]["blocks.selector.ops"]["value"] <= 66
