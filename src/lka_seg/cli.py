@@ -38,7 +38,7 @@ _MODEL_DEFAULTS = {f.name: f.default for f in fields(ModelConfig)} | {"preset": 
 _TRAIN_DEFAULTS = {f.name: f.default for f in fields(TrainConfig)}
 _SPEC_DEFAULTS = {f.name: f.default for f in fields(data_io.SynthSpec)}
 # JSON types a field accepts, by the type of its default; a bool is no int
-_JSON_TYPES = {bool: bool, int: int, float: (int, float), str: str}
+_JSON_TYPES = {int: int, float: (int, float), str: str}
 
 
 def _section(where, doc, defaults):
@@ -50,8 +50,7 @@ def _section(where, doc, defaults):
         raise ConfigError(f"{where}: unknown keys {sorted(unknown)}")
     for key, value in doc.items():
         want = type(defaults[key])
-        if (isinstance(value, bool) != (want is bool)
-                or not isinstance(value, _JSON_TYPES[want])):
+        if isinstance(value, bool) or not isinstance(value, _JSON_TYPES[want]):
             raise ConfigError(
                 f"{where}: {key} must be a JSON {want.__name__}, got {value!r}")
     return dict(doc)
@@ -136,13 +135,15 @@ def cmd_synth_data(args):
         spec.validate()
     except (TypeError, ValueError) as err:
         raise ConfigError(str(err)) from err
-    samples = data_io.synth_dataset(spec, boundary_radius=args.boundary_radius)
-    data_io.write_dataset(samples, args.out, spec, args.boundary_radius)
+    samples = data_io.synth_dataset(spec)
+    data_io.write_dataset(samples, args.out, spec)
     print(f"wrote {len(samples)} samples to {args.out}")
     return EXIT_OK
 
 
 def _split_dataset(samples, val_count):
+    if val_count < 0:
+        raise ConfigError(f"--val-count must be >= 0, got {val_count}")
     if val_count >= len(samples):
         raise ConfigError(
             f"val_count {val_count} leaves no training data "
@@ -264,7 +265,6 @@ def build_parser():
     p.add_argument("--classes", type=int)
     p.add_argument("--density", type=float)
     p.add_argument("--min-shape", type=int)
-    p.add_argument("--boundary-radius", type=int, default=2)
     p.set_defaults(func=cmd_synth_data)
 
     p = sub.add_parser("train", help="train on a dataset directory")

@@ -1,10 +1,12 @@
-"""Synthetic scenes, boundary targets, Netpbm files, and checkpoints.
+"""Synthetic scenes, Netpbm files, dataset directories, and checkpoints.
 
 The synthetic generator paints overlapping axis-aligned rectangles,
 circles and 2-pixel-wide strips over a background class, gives every
 class a distinct base color from a fixed palette, and adds seeded
 Gaussian pixel noise. Strips are drawn last so thin structures survive
-overlap; they are what stresses the detail/boundary pathway.
+overlap; they are what stresses the detail branch and the edge head. A
+sample is an image and its labels; the training loop derives the edge
+head's target from the labels.
 
 File formats are chosen for bit-exactness: binary PPM (P6) / PGM (P5)
 images with maxval 255, and a little-endian binary checkpoint with the
@@ -94,36 +96,10 @@ class SynthSpec:
 
 @dataclass
 class SegBatch:
-    """One sample: image in [0, 1], integer labels, binary boundary mask."""
+    """One sample: image in [0, 1] and integer labels."""
 
     image: np.ndarray    # (3, h, w) float64
     labels: np.ndarray   # (h, w) int32
-    boundary: np.ndarray  # (h, w) uint8
-
-
-def boundary_from_labels(labels, radius=2, ignore_index=None):
-    """Binary mask: 1 where any pixel within Chebyshev distance `radius`
-    carries a different non-ignored label."""
-    if radius < 1:
-        raise ValueError(f"radius must be >= 1, got {radius}")
-    lab = np.asarray(labels)
-    h, w = lab.shape
-    mask = np.zeros((h, w), dtype=bool)
-    for dy in range(-radius, radius + 1):
-        for dx in range(-radius, radius + 1):
-            if dy == 0 and dx == 0:
-                continue
-            ys0, ys1 = max(0, dy), min(h, h + dy)
-            xs0, xs1 = max(0, dx), min(w, w + dx)
-            a = lab[ys0:ys1, xs0:xs1]
-            b = lab[ys0 - dy:ys1 - dy, xs0 - dx:xs1 - dx]
-            diff = a != b
-            if ignore_index is not None:
-                diff &= (a != ignore_index) & (b != ignore_index)
-            mask[ys0:ys1, xs0:xs1] |= diff
-    if ignore_index is not None:
-        mask &= lab != ignore_index
-    return mask.astype(np.uint8)
 
 
 def _paint_scene(rng, spec, class_offset=0):
@@ -173,7 +149,7 @@ def _paint_scene(rng, spec, class_offset=0):
     return labels
 
 
-def synth_dataset(spec: SynthSpec, boundary_radius=2):
+def synth_dataset(spec: SynthSpec):
     """Deterministic list of samples; identical spec, identical bytes."""
     spec.validate()
     children = np.random.SeedSequence(spec.seed).spawn(spec.count)
@@ -184,11 +160,7 @@ def synth_dataset(spec: SynthSpec, boundary_radius=2):
         base = PALETTE[labels].transpose(2, 0, 1)
         noisy = base + rng.normal(0.0, 0.05, size=base.shape)
         image = np.clip(noisy, 0.0, 1.0)
-        out.append(SegBatch(
-            image=image,
-            labels=labels,
-            boundary=boundary_from_labels(labels, boundary_radius),
-        ))
+        out.append(SegBatch(image=image, labels=labels))
     return out
 
 
@@ -292,12 +264,12 @@ def read_pgm(path):
 # ---------------------------------------------------------------------------
 
 
-def write_dataset(samples, out_dir, spec=None, boundary_radius=2):
+def write_dataset(samples, out_dir, spec=None):
     os.makedirs(out_dir, exist_ok=True)
     for i, s in enumerate(samples):
         write_ppm(os.path.join(out_dir, f"img_{i:05d}.ppm"), s.image)
         write_pgm(os.path.join(out_dir, f"lbl_{i:05d}.pgm"), s.labels)
-    lines = [f"count={len(samples)}", f"boundary_radius={boundary_radius}"]
+    lines = [f"count={len(samples)}"]
     if spec is not None:
         lines += [
             f"seed={spec.seed}",
@@ -339,23 +311,20 @@ def _manifest_int(manifest, data_dir, key):
 
 
 def load_dataset(data_dir):
-    """Read a dataset directory back into samples (boundary recomputed).
+    """Read a dataset directory back into samples.
 
-    The manifest must hold `count` and `boundary_radius` entries that are
-    integers >= 1; otherwise a `ValueError` names the file and the key.
+    The manifest must hold a `count` entry that is an integer >= 1;
+    otherwise a `ValueError` names the file and the key. Its other keys
+    (the spec fields `write_dataset` records, and any key an older writer
+    added) are informational and returned as read.
     """
     manifest = read_manifest(data_dir)
     count = _manifest_int(manifest, data_dir, "count")
-    radius = _manifest_int(manifest, data_dir, "boundary_radius")
     samples = []
     for i in range(count):
         image = read_ppm(os.path.join(data_dir, f"img_{i:05d}.ppm"))
         labels = read_pgm(os.path.join(data_dir, f"lbl_{i:05d}.pgm")).astype(np.int32)
-        samples.append(SegBatch(
-            image=image,
-            labels=labels,
-            boundary=boundary_from_labels(labels, radius),
-        ))
+        samples.append(SegBatch(image=image, labels=labels))
     return samples, manifest
 
 

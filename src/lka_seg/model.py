@@ -56,8 +56,6 @@ class ModelConfig:
     high_width: int = 64
     blocks_per_stage: int = 2
     ppm: str = "dlkppm"
-    ppm_hidden: int = 0          # 0 -> high_width // 2
-    ppm_out: int = 0             # 0 -> high_width
     fuse_width: int = 0          # 0 -> 2 * low_width
     head_width: int = 0          # 0 -> 2 * low_width
     fixed_gate: float = float("nan")   # NaN -> learned sigmoid gate
@@ -65,8 +63,6 @@ class ModelConfig:
     def resolved(self):
         return replace(
             self,
-            ppm_hidden=self.ppm_hidden or self.high_width // 2,
-            ppm_out=self.ppm_out or self.high_width,
             fuse_width=self.fuse_width or 2 * self.low_width,
             head_width=self.head_width or 2 * self.low_width,
         )
@@ -94,6 +90,17 @@ def preset_config(name, **overrides):
     merged = dict(PRESETS[name])
     merged.update(overrides)
     return ModelConfig(**merged)
+
+
+def _check_input_shape(shape):
+    """Forward and `cost` take (n, 3, h, w) with h and w positive
+    multiples of 64; any other shape raises `ValueError`."""
+    if len(shape) != 4 or shape[1] != 3:
+        raise ValueError(f"input must be (n, 3, h, w), got {tuple(shape)}")
+    h, w = shape[2:]
+    if h < 1 or w < 1 or h % 64 or w % 64:
+        raise ValueError(
+            f"input spatial dims must be positive and divisible by 64, got {h}x{w}")
 
 
 @dataclass
@@ -194,8 +201,7 @@ class BilateralNet(Module):
             *conv_bn(low, mid, 3, rng, stride=2, padding=1),
             *conv_bn(mid, high, 3, rng, stride=2, padding=1, act=False),
         )
-        self.ppm = PyramidPooling(high, cfg.ppm_out, rng, hidden=cfg.ppm_hidden,
-                                  style=cfg.ppm)
+        self.ppm = PyramidPooling(high, high, rng, style=cfg.ppm)
         self.boundary_feat = conv_bn(low, low, 3, rng, padding=1)
         self.boundary_logit = Conv2d(low, 1, 1, rng)
         self.aux_head = Sequential(
@@ -206,7 +212,7 @@ class BilateralNet(Module):
         )
         # the gate reads the boundary feature, which keeps `low` channels
         self.fuse = BoundaryGuidedFusion(
-            low, cfg.ppm_out, low, cfg.fuse_width, rng,
+            low, high, low, cfg.fuse_width, rng,
             fixed_sigma=None if not cfg.gate_is_fixed else cfg.fixed_gate,
         )
         self.seg_head = Sequential(
@@ -218,15 +224,8 @@ class BilateralNet(Module):
 
     # -- forward ---------------------------------------------------------
 
-    def _check_input(self, x):
-        if x.data.ndim != 4 or x.data.shape[1] != 3:
-            raise ValueError(f"input must be (n, 3, h, w), got {x.data.shape}")
-        _, _, h, w = x.data.shape
-        if h % 64 or w % 64:
-            raise ValueError(f"input spatial dims must be divisible by 64, got {h}x{w}")
-
     def forward(self, x, mode="eval"):
-        self._check_input(x)
+        _check_input_shape(x.data.shape)
         if mode not in ("train", "eval"):
             raise ValueError(f"mode must be 'train' or 'eval', got {mode!r}")
         n, _, h, w = x.data.shape
@@ -264,9 +263,8 @@ class BilateralNet(Module):
     # -- static cost (mirrors the eval-mode forward exactly) --------------
 
     def cost(self, in_shape, prefix=""):
+        _check_input_shape(in_shape)
         n, c, h, w = in_shape
-        if c != 3 or h % 64 or w % 64:
-            raise ValueError(f"invalid analysis input shape {in_shape}")
         p = prefix or "model"
         h8, w8 = h // 8, w // 8
         records, s8 = self.stem.cost(in_shape, f"{p}.stem")

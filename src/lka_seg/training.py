@@ -3,9 +3,17 @@
 The segmentation loss is pixel cross-entropy restricted to hard examples
 (kept pixel = true-class probability under the threshold, with a floor of
 `min_kept` hardest pixels). The boundary head trains with class-balanced
-binary cross-entropy. Total loss:
+binary cross-entropy against `boundary_target_at_scale`, a tile-level
+edge map built from the labels at the head's 1/8 scale. Total loss:
 
-    seg + aux_weight * aux + boundary_weight * boundary
+    seg + AUX_WEIGHT * aux + BOUNDARY_WEIGHT * boundary
+
+`TrainConfig` holds what a run varies: epochs, batch size, base learning
+rate and seed. The rest are module constants: SGD `MOMENTUM` and
+`WEIGHT_DECAY`, the poly schedule's `POLY_POWER`, the mining
+`OHEM_THRESHOLD` and `OHEM_MIN_KEPT_FRAC` (of the batch's pixels), the
+loss weights, `IGNORE_INDEX` and the validation batch `VAL_BATCH`. Every
+training batch is flipped left-right per sample with probability 1/2.
 
 The loop is single-threaded and deterministic for a fixed seed: one
 `numpy` generator drives shuffling and augmentation, so two runs with the
@@ -25,6 +33,16 @@ from scipy.special import expit
 
 from . import engine as E
 
+MOMENTUM = 0.9
+WEIGHT_DECAY = 1e-4
+POLY_POWER = 0.9
+OHEM_THRESHOLD = 0.7
+OHEM_MIN_KEPT_FRAC = 1.0 / 16.0
+AUX_WEIGHT = 0.4
+BOUNDARY_WEIGHT = 1.0
+IGNORE_INDEX = 255
+VAL_BATCH = 8
+
 __all__ = [
     "OhemConfig",
     "TrainConfig",
@@ -32,6 +50,8 @@ __all__ = [
     "cross_entropy",
     "ohem_cross_entropy",
     "boundary_bce",
+    "boundary_from_labels",
+    "boundary_target_at_scale",
     "poly_lr",
     "SGD",
     "ConfusionMatrix",
@@ -94,14 +114,14 @@ def _masked_nll(logits, labels, keep):
     return E.custom_op(np.asarray(loss), (logits,), bwd)
 
 
-def cross_entropy(logits, labels, ignore_index=255):
+def cross_entropy(logits, labels, ignore_index=IGNORE_INDEX):
     """Mean pixel NLL over non-ignored pixels."""
     labels = np.asarray(labels)
     _check_labels(labels, logits.data.shape[1], ignore_index)
     return _masked_nll(logits, labels, labels != ignore_index)
 
 
-def ohem_cross_entropy(logits, labels, cfg: OhemConfig, ignore_index=255):
+def ohem_cross_entropy(logits, labels, cfg: OhemConfig, ignore_index=IGNORE_INDEX):
     """Cross-entropy over the hard pixels only.
 
     A pixel is hard when its predicted true-class probability is below
@@ -172,7 +192,7 @@ def boundary_bce(boundary_logits, boundary_mask):
     return E.custom_op(np.asarray(loss), (boundary_logits,), bwd)
 
 
-def poly_lr(base_lr, iteration, max_iter, power=0.9):
+def poly_lr(base_lr, iteration, max_iter, power=POLY_POWER):
     """base_lr * (1 - iteration / max_iter) ** power."""
     if not 0 <= iteration <= max_iter:
         raise ValueError(f"iteration {iteration} outside [0, {max_iter}]")
@@ -250,6 +270,31 @@ def miou(cm: ConfusionMatrix):
     return per_class, mean
 
 
+def boundary_from_labels(labels, radius=2, ignore_index=None):
+    """Binary mask: 1 where any pixel within Chebyshev distance `radius`
+    carries a different non-ignored label."""
+    if radius < 1:
+        raise ValueError(f"radius must be >= 1, got {radius}")
+    lab = np.asarray(labels)
+    h, w = lab.shape
+    mask = np.zeros((h, w), dtype=bool)
+    for dy in range(-radius, radius + 1):
+        for dx in range(-radius, radius + 1):
+            if dy == 0 and dx == 0:
+                continue
+            ys0, ys1 = max(0, dy), min(h, h + dy)
+            xs0, xs1 = max(0, dx), min(w, w + dx)
+            a = lab[ys0:ys1, xs0:xs1]
+            b = lab[ys0 - dy:ys1 - dy, xs0 - dx:xs1 - dx]
+            diff = a != b
+            if ignore_index is not None:
+                diff &= (a != ignore_index) & (b != ignore_index)
+            mask[ys0:ys1, xs0:xs1] |= diff
+    if ignore_index is not None:
+        mask &= lab != ignore_index
+    return mask.astype(np.uint8)
+
+
 def boundary_target_at_scale(labels, factor, radius=1):
     """Tile-level boundary target for a 1/factor-resolution boundary head.
 
@@ -258,8 +303,6 @@ def boundary_target_at_scale(labels, factor, radius=1):
     mask downsampled with "any pixel" saturates at coarse scales; majority
     edges keep the target discriminative.
     """
-    from .data_io import boundary_from_labels
-
     n, h, w = labels.shape
     if h % factor or w % factor:
         raise ValueError(f"label dims {h}x{w} not divisible by {factor}")
@@ -278,57 +321,27 @@ class TrainConfig:
     epochs: int = 30
     batch_size: int = 8
     base_lr: float = 0.05
-    momentum: float = 0.9
-    weight_decay: float = 1e-4
-    poly_power: float = 0.9
-    ohem_threshold: float = 0.7
-    ohem_min_kept_frac: float = 1.0 / 16.0
-    aux_weight: float = 0.4
-    boundary_weight: float = 1.0
-    flip: bool = True
-    crop: int = 0            # 0 disables; otherwise a multiple of 64
     seed: int = 0
-    ignore_index: int = 255
-    val_batch: int = 8
 
     def validate(self):
         if self.epochs < 1 or self.batch_size < 1:
             raise ValueError("epochs and batch_size must be positive")
         if self.base_lr < 0:
             raise ValueError(f"base_lr must be >= 0, got {self.base_lr}")
-        if not (0.0 < self.ohem_threshold <= 1.0):
-            raise ValueError(f"ohem_threshold must be in (0, 1], got {self.ohem_threshold}")
-        if not (0.0 < self.ohem_min_kept_frac <= 1.0):
-            raise ValueError("ohem_min_kept_frac must be in (0, 1]")
-        if self.crop and self.crop % 64:
-            raise ValueError(f"crop must be a multiple of 64, got {self.crop}")
 
 
 def _collate(samples):
     images = np.stack([s.image for s in samples])
     labels = np.stack([s.labels for s in samples]).astype(np.int64)
-    boundary = np.stack([s.boundary for s in samples])
-    return images, labels, boundary
+    return images, labels
 
 
-def _augment(images, labels, boundary, rng, cfg):
-    if cfg.flip:
-        flips = rng.random(images.shape[0]) < 0.5
-        images = np.where(flips[:, None, None, None], images[:, :, :, ::-1], images)
-        labels = np.where(flips[:, None, None], labels[:, :, ::-1], labels)
-        boundary = np.where(flips[:, None, None], boundary[:, :, ::-1], boundary)
-    if cfg.crop and cfg.crop < min(images.shape[2], images.shape[3]):
-        c = cfg.crop
-        n, _, h, w = images.shape
-        ys = rng.integers(0, h - c + 1, size=n)
-        xs = rng.integers(0, w - c + 1, size=n)
-        images = np.stack([images[i, :, y:y + c, x:x + c]
-                           for i, (y, x) in enumerate(zip(ys, xs))])
-        labels = np.stack([labels[i, y:y + c, x:x + c]
-                           for i, (y, x) in enumerate(zip(ys, xs))])
-        boundary = np.stack([boundary[i, y:y + c, x:x + c]
-                             for i, (y, x) in enumerate(zip(ys, xs))])
-    return images, labels, boundary
+def _augment(images, labels, rng):
+    """Flip each sample left-right with probability 1/2."""
+    flips = rng.random(images.shape[0]) < 0.5
+    images = np.where(flips[:, None, None, None], images[:, :, :, ::-1], images)
+    labels = np.where(flips[:, None, None], labels[:, :, ::-1], labels)
+    return images, labels
 
 
 def _first_nonfinite(model):
@@ -340,13 +353,15 @@ def _first_nonfinite(model):
     return "loss"
 
 
-def evaluate(model, dataset, class_count, batch_size=8, ignore_index=255,
-             threads=1):
+def evaluate(model, dataset, class_count, batch_size=VAL_BATCH,
+             ignore_index=IGNORE_INDEX, threads=1):
     """Aggregate confusion over the dataset; returns (per_class, mean) IoU."""
+    if batch_size < 1:
+        raise ValueError(f"batch_size must be >= 1, got {batch_size}")
     cm = ConfusionMatrix(class_count)
 
     def run_chunk(chunk):
-        images, labels, _ = _collate(chunk)
+        images, labels = _collate(chunk)
         with E.no_grad():
             out = model(E.Tensor(images), "eval")
         return out.seg_logits.data.argmax(axis=1), labels
@@ -400,7 +415,7 @@ def train_model(model, train_data, val_data, cfg: TrainConfig, out_dir=None,
         raise ValueError("training dataset is empty")
     k = model.cfg.class_count
     rng = np.random.default_rng(cfg.seed)
-    opt = SGD(model.named_parameters(), cfg.momentum, cfg.weight_decay)
+    opt = SGD(model.named_parameters(), MOMENTUM, WEIGHT_DECAY)
 
     n = len(train_data)
     steps = (n + cfg.batch_size - 1) // cfg.batch_size
@@ -419,29 +434,23 @@ def train_model(model, train_data, val_data, cfg: TrainConfig, out_dir=None,
             lr = cfg.base_lr
             for s in range(steps):
                 idx = perm[s * cfg.batch_size:(s + 1) * cfg.batch_size]
-                images, labels, boundary = _collate([train_data[i] for i in idx])
-                images, labels, boundary = _augment(images, labels, boundary,
-                                                    rng, cfg)
-                lr = poly_lr(cfg.base_lr, it, max_iter, cfg.poly_power)
+                images, labels = _collate([train_data[i] for i in idx])
+                images, labels = _augment(images, labels, rng)
+                lr = poly_lr(cfg.base_lr, it, max_iter)
 
                 try:
                     out = model(E.Tensor(images), "train")
                     seg_cfg = OhemConfig(
-                        cfg.ohem_threshold,
-                        max(1, int(labels.size * cfg.ohem_min_kept_frac)),
+                        OHEM_THRESHOLD,
+                        max(1, int(labels.size * OHEM_MIN_KEPT_FRAC)),
                     )
-                    loss = ohem_cross_entropy(out.seg_logits, labels, seg_cfg,
-                                              cfg.ignore_index)
-                    if cfg.aux_weight:
-                        aux = ohem_cross_entropy(out.aux_logits, labels, seg_cfg,
-                                                 cfg.ignore_index)
-                        loss = E.add(loss, E.mul(aux, cfg.aux_weight))
-                    if cfg.boundary_weight:
-                        target = boundary_target_at_scale(
-                            labels,
-                            images.shape[2] // out.boundary_logits.data.shape[2])
-                        bl = boundary_bce(out.boundary_logits, target)
-                        loss = E.add(loss, E.mul(bl, cfg.boundary_weight))
+                    loss = ohem_cross_entropy(out.seg_logits, labels, seg_cfg)
+                    aux = ohem_cross_entropy(out.aux_logits, labels, seg_cfg)
+                    loss = E.add(loss, E.mul(aux, AUX_WEIGHT))
+                    target = boundary_target_at_scale(
+                        labels, images.shape[2] // out.boundary_logits.data.shape[2])
+                    bl = boundary_bce(out.boundary_logits, target)
+                    loss = E.add(loss, E.mul(bl, BOUNDARY_WEIGHT))
                     loss_val = loss.item()
                     if not np.isfinite(loss_val):
                         raise E.NonFiniteError("non-finite loss")
@@ -456,8 +465,7 @@ def train_model(model, train_data, val_data, cfg: TrainConfig, out_dir=None,
                 epoch_loss += loss_val
                 it += 1
 
-            _, val_miou = evaluate(model, val_data, k, cfg.val_batch,
-                                   cfg.ignore_index) if val_data else (None, 0.0)
+            _, val_miou = evaluate(model, val_data, k) if val_data else (None, 0.0)
             row = {"epoch": epoch, "loss": epoch_loss / steps, "miou": val_miou,
                    "lr": lr}
             history.append(row)

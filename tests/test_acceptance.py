@@ -400,8 +400,8 @@ def test_criterion_11_format_round_trips(tmp_path):
         write_pgm(path, labels)
         ok = ok and (read_pgm(path) == labels).all()
     cfg = ModelConfig(class_count=2, stem_width=4, low_width=4, mid_width=4,
-                      high_width=8, blocks_per_stage=1, ppm_hidden=4,
-                      ppm_out=8, fuse_width=4, head_width=4)
+                      high_width=8, blocks_per_stage=1, fuse_width=4,
+                      head_width=4)
     for i in range(20):
         model = build_model(cfg, seed=i)
         path = tmp_path / "m.ckpt"

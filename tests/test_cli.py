@@ -18,8 +18,8 @@ TOY_CONFIG = {
 TINY_CONFIG = {
     "version": 1,
     "model": {"class_count": 3, "stem_width": 4, "low_width": 4, "mid_width": 6,
-              "high_width": 8, "blocks_per_stage": 1, "ppm_hidden": 4,
-              "ppm_out": 8, "fuse_width": 6, "head_width": 6},
+              "high_width": 8, "blocks_per_stage": 1, "fuse_width": 6,
+              "head_width": 6},
     "train": {"epochs": 1, "batch_size": 4, "base_lr": 0.05, "seed": 0},
 }
 
@@ -85,6 +85,14 @@ class TestSynthData:
         # only eval reads LKA_SEG_THREADS
         monkeypatch.setenv("LKA_SEG_THREADS", "two")
         synth(tmp_path)
+
+    def test_boundary_radius_flag_is_gone(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["synth-data", "--out", str(tmp_path / "d"),
+                  "--boundary-radius", "2"])
+        assert exc.value.code == 2
+        assert "--boundary-radius" in capsys.readouterr().err
+        assert not (tmp_path / "d").exists()
 
     def test_spec_file_unknown_key_exits_2(self, tmp_path, capsys):
         spec_path = tmp_path / "spec.json"
@@ -156,7 +164,20 @@ class TestTrain:
                                     ("train", "scale_augment", True),
                                     ("model", "boundary_head", False),
                                     ("model", "aux_head", False),
-                                    ("model", "cffn_ratio", 3)):
+                                    ("model", "cffn_ratio", 3),
+                                    ("model", "ppm_hidden", 4),
+                                    ("model", "ppm_out", 8),
+                                    ("train", "momentum", 0.9),
+                                    ("train", "weight_decay", 1e-4),
+                                    ("train", "poly_power", 0.9),
+                                    ("train", "ohem_threshold", 0.7),
+                                    ("train", "ohem_min_kept_frac", 0.0625),
+                                    ("train", "aux_weight", 0.4),
+                                    ("train", "boundary_weight", 1.0),
+                                    ("train", "ignore_index", 255),
+                                    ("train", "val_batch", 8),
+                                    ("train", "crop", 0),
+                                    ("train", "flip", True)):
             doc = json.loads(json.dumps(TINY_CONFIG))
             (doc[section] if section else doc)[key] = value
             cfg = write_config(tmp_path, doc)
@@ -172,7 +193,7 @@ class TestTrain:
         ("train", None, "train"),
         ("train", {"epochs": 1.5}, "epochs"),
         ("train", {"epochs": True}, "epochs"),
-        ("train", {"flip": 1}, "flip"),
+        ("train", {"batch_size": "4"}, "batch_size"),
         ("train", {"base_lr": "0.1"}, "base_lr"),
         ("model", {"ppm": 1}, "ppm"),
         ("model", {"preset": None}, "preset"),
@@ -204,6 +225,16 @@ class TestTrain:
                    "--out", str(tmp_path / "run"), "--val-count", "2"])
         assert rc == 2
         assert "manifest.txt: missing key 'count'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("count", ["-1", "-8"])
+    def test_negative_val_count_exits_2(self, tmp_path, capsys, count):
+        data = synth(tmp_path, count=8, classes=3)
+        cfg = write_config(tmp_path, TINY_CONFIG)
+        rc = main(["train", "--config", cfg, "--data", data,
+                   "--out", str(tmp_path / "run"), "--val-count", count])
+        assert rc == 2
+        assert "--val-count must be >= 0" in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
 
     def test_wrong_version_exits_2(self, tmp_path, capsys):
         doc = dict(TINY_CONFIG)
@@ -268,6 +299,16 @@ class TestEvalInfer:
         assert rc == 2
         assert "manifest.txt: count must be >= 1" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("batch", ["0", "-1"])
+    def test_eval_batch_below_one_exits_2(self, trained, capsys, batch):
+        data, cfg, ckpt = trained
+        rc = main(["eval", "--config", cfg, "--ckpt", ckpt, "--data", data,
+                   "--batch", batch])
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert "batch_size must be >= 1" in captured.err
+        assert "miou" not in captured.out
+
     def test_infer_writes_ppm(self, trained, tmp_path, capsys):
         data, cfg, ckpt = trained
         image = os.path.join(data, "img_00000.ppm")
@@ -330,6 +371,15 @@ class TestAnalysisCommands:
         with E.no_grad(), E.flop_meter() as meter:
             model(x, "eval")
         assert total == meter.total
+
+    @pytest.mark.parametrize("size", ["0", "-64", "96"])
+    def test_flops_size_not_positive_multiple_of_64_exits_2(self, tmp_path,
+                                                            capsys, size):
+        cfg = write_config(tmp_path, TOY_CONFIG)
+        assert main(["flops", "--config", cfg, "--size", size]) == 2
+        captured = capsys.readouterr()
+        assert "positive and divisible by 64" in captured.err
+        assert "total_flops" not in captured.out
 
     def test_params_matches_checkpoint_scalars(self, tmp_path, capsys):
         data = synth(tmp_path, count=8, classes=3)

@@ -14,7 +14,6 @@ from lka_seg.data_io import (
     CheckpointManifestError,
     CheckpointVersionError,
     SynthSpec,
-    boundary_from_labels,
     checkpoint_scalar_count,
     colorize,
     load_checkpoint,
@@ -30,12 +29,13 @@ from lka_seg.data_io import (
     write_ppm,
 )
 from lka_seg.model import ModelConfig, build_model
+from lka_seg.training import boundary_from_labels
 from helpers import set_first_offset
 
 
 SMALL_MODEL = ModelConfig(class_count=2, stem_width=4, low_width=4, mid_width=4,
-                          high_width=8, blocks_per_stage=1, ppm_hidden=4,
-                          ppm_out=8, fuse_width=4, head_width=4)
+                          high_width=8, blocks_per_stage=1, fuse_width=4,
+                          head_width=4)
 
 
 class TestSynthDataset:
@@ -46,7 +46,6 @@ class TestSynthDataset:
         for sa, sb in zip(a, b):
             np.testing.assert_array_equal(sa.image, sb.image)
             np.testing.assert_array_equal(sa.labels, sb.labels)
-            np.testing.assert_array_equal(sa.boundary, sb.boundary)
 
     def test_labels_in_range_and_images_in_unit_interval(self):
         for s in synth_dataset(SynthSpec(seed=1, count=6, class_count=4)):
@@ -168,14 +167,33 @@ class TestNetpbm:
         assert len(loaded) == 3
         for a, b in zip(samples, loaded):
             np.testing.assert_array_equal(a.labels, b.labels)
-            np.testing.assert_array_equal(a.boundary, b.boundary)
             assert np.abs(a.image - b.image).max() <= 0.5 / 255.0
+
+    def test_manifest_holds_count_and_spec_only(self, tmp_path):
+        spec = SynthSpec(seed=2, count=2)
+        write_dataset(synth_dataset(spec), tmp_path / "d", spec)
+        keys = [ln.partition("=")[0]
+                for ln in (tmp_path / "d" / "manifest.txt").read_text().splitlines()]
+        assert keys == ["count", "seed", "height", "width", "class_count",
+                        "density", "min_shape"]
+
+    def test_older_manifest_key_still_loads(self, tmp_path):
+        # datasets written before the key was dropped carry boundary_radius=2
+        spec = SynthSpec(seed=2, count=2)
+        write_dataset(synth_dataset(spec), tmp_path / "d", spec)
+        fresh, _ = load_dataset(tmp_path / "d")
+        path = tmp_path / "d" / "manifest.txt"
+        lines = path.read_text().splitlines()
+        path.write_text("\n".join(lines[:1] + ["boundary_radius=2"] + lines[1:]) + "\n")
+        older, manifest = load_dataset(tmp_path / "d")
+        assert manifest["boundary_radius"] == "2"
+        for a, b in zip(fresh, older):
+            np.testing.assert_array_equal(a.image, b.image)
+            np.testing.assert_array_equal(a.labels, b.labels)
 
     @pytest.mark.parametrize("key, value", [
         ("count", None), ("count", "3.0"), ("count", "three"),
-        ("boundary_radius", None), ("boundary_radius", "2.5"),
-        ("count", "0"), ("count", "-3"), ("boundary_radius", "0"),
-        ("boundary_radius", "-1"),
+        ("count", "0"), ("count", "-3"),
     ])
     def test_bad_manifest_integer_names_file_and_key(self, tmp_path, key,
                                                      value):
@@ -298,8 +316,8 @@ class TestCheckpoint:
         save_checkpoint(model, path)
         bigger = build_model(ModelConfig(class_count=3, stem_width=4, low_width=4,
                                          mid_width=4, high_width=8,
-                                         blocks_per_stage=1, ppm_hidden=4,
-                                         ppm_out=8, fuse_width=4, head_width=4),
+                                         blocks_per_stage=1, fuse_width=4,
+                                         head_width=4),
                              seed=0)
         with pytest.raises(CheckpointManifestError, match="shape mismatch"):
             load_into_model(bigger, path)

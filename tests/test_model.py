@@ -190,6 +190,15 @@ class TestForward:
         with pytest.raises(ValueError, match="mode"):
             model(E.Tensor(np.zeros((1, 3, 64, 64))), "test")
 
+    @pytest.mark.parametrize("h, w", [(0, 64), (64, 0), (-64, 64), (64, -128)])
+    def test_forward_and_cost_reject_non_positive_sizes(self, h, w):
+        model = build_model(preset_config("toy"), seed=0)
+        with pytest.raises(ValueError, match="positive and divisible by 64"):
+            model.cost((1, 3, h, w))
+        if h >= 0 and w >= 0:
+            with pytest.raises(ValueError, match="positive and divisible by 64"):
+                model(E.Tensor(np.zeros((1, 3, h, w))), "eval")
+
     def test_logits_finite_on_random_input(self, rng):
         model = build_model(preset_config("toy", class_count=5), seed=7)
         x = E.Tensor(rng.uniform(size=(2, 3, 64, 64)))

@@ -18,6 +18,7 @@ from lka_seg.training import (
     SGD,
     TrainConfig,
     boundary_bce,
+    boundary_target_at_scale,
     cross_entropy,
     evaluate,
     history_csv,
@@ -36,7 +37,7 @@ def rng():
 
 TINY_MODEL = ModelConfig(class_count=3, stem_width=4, low_width=4, mid_width=6,
                          high_width=8, blocks_per_stage=1, fuse_width=6,
-                         head_width=6, ppm_hidden=4, ppm_out=8)
+                         head_width=6)
 
 
 def tiny_data(count, seed=5, k=3):
@@ -351,24 +352,9 @@ class TestTrainLoop:
         model = build_model(preset_config("toy", class_count=5), seed=0)
         data = synth_dataset(SynthSpec(seed=11, count=4, class_count=5,
                                        min_shape=20))
-        cfg = TrainConfig(epochs=50, batch_size=4, base_lr=0.05, seed=0,
-                          flip=False)
+        cfg = TrainConfig(epochs=50, batch_size=4, base_lr=0.05, seed=0)
         history = train_model(model, data, [], cfg)
         assert history[-1]["loss"] < 0.5 * history[0]["loss"]
-
-
-def test_random_crop_augmentation():
-    from lka_seg.training import _augment
-    rng = np.random.default_rng(0)
-    images = rng.uniform(size=(2, 3, 128, 128))
-    labels = rng.integers(0, 3, size=(2, 128, 128))
-    boundary = rng.integers(0, 2, size=(2, 128, 128)).astype(np.uint8)
-    cfg = TrainConfig(crop=64, flip=False)
-    imgs, labs, bnds = _augment(images, labels, boundary, rng, cfg)
-    assert imgs.shape == (2, 3, 64, 64)
-    assert labs.shape == (2, 64, 64) and bnds.shape == (2, 64, 64)
-    with pytest.raises(ValueError, match="crop"):
-        TrainConfig(crop=50).validate()
 
 
 def test_evaluate_on_tiny_model():
@@ -378,6 +364,41 @@ def test_evaluate_on_tiny_model():
     assert 0.0 <= mean <= 1.0
     per2, mean2 = evaluate(model, data, 3, batch_size=3, threads=2)
     assert abs(mean - mean2) < 1e-15
+
+
+@pytest.mark.parametrize("batch_size", [0, -1])
+def test_evaluate_rejects_batch_below_one(batch_size):
+    model = build_model(TINY_MODEL, seed=2)
+    with pytest.raises(ValueError, match="batch_size must be >= 1"):
+        evaluate(model, tiny_data(2), 3, batch_size=batch_size)
+
+
+class TestBoundaryTarget:
+    def test_tile_majority_decides_at_factor_8(self):
+        # 16x16 labels -> 2x2 tiles of 64 pixels; radius 1 spans all tiles
+        majority_one = np.zeros((16, 16), np.int64)
+        majority_one[:5, :8] = 1          # 40 of tile (0, 0)'s 64 pixels
+        minority_only = np.zeros((16, 16), np.int64)
+        minority_only[:3, :8] = 1         # 24 of tile (0, 0)'s pixels
+        minority_only[8:11, 8:] = 1       # 24 of tile (1, 1)'s pixels
+        target = boundary_target_at_scale(np.stack([majority_one, minority_only]), 8)
+        assert target.dtype == np.float64 and target.shape == (2, 1, 2, 2)
+        np.testing.assert_array_equal(target[0, 0], np.ones((2, 2)))
+        # pixel-level edges inside every-minority tiles give no positives
+        np.testing.assert_array_equal(target[1, 0], np.zeros((2, 2)))
+
+    def test_radius_one_marks_neighbouring_tiles_only(self):
+        labels = np.zeros((1, 16, 16), np.int64)
+        labels[0, :4, :4] = 1             # tile (0, 0) of a 4x4 grid
+        labels[0, 12, 12:] = 1            # 4 of tile (3, 3)'s 16 pixels
+        expected = np.zeros((4, 4))
+        expected[:2, :2] = 1
+        np.testing.assert_array_equal(boundary_target_at_scale(labels, 4)[0, 0],
+                                      expected)
+
+    def test_not_divisible_rejected(self):
+        with pytest.raises(ValueError, match="not divisible by 8"):
+            boundary_target_at_scale(np.zeros((1, 12, 16), np.int64), 8)
 
 
 class TestCheckpointWrites:
