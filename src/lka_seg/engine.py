@@ -29,6 +29,15 @@ hand-written backward.
 The autodiff graph is a define-by-run tape: every operation that sees a
 grad-requiring input records a backward closure on its output.
 
+Finiteness is checked at the boundaries, not on every op output: a
+user-built `Tensor` or `Parameter` is scanned when it is constructed, and
+the model checks its outputs and the train loop its loss and gradients.
+Op outputs are not scanned, so an op may return Inf or NaN. When a
+boundary check fails, its caller re-runs the failed computation inside
+`op_checks`; while armed, every op output and every gradient a backward
+closure produces is scanned, and the first non-finite one raises
+`NonFiniteError` naming the op and the module path it ran under.
+
 Conventions fixed here and relied on everywhere else:
   * bilinear resizing uses half-pixel source centers (there is no
     align_corners mode),
@@ -82,6 +91,7 @@ class _State(threading.local):
     def __init__(self):
         self.grad_enabled = True
         self.meter = None
+        self.checks = None   # an _OpChecks while `op_checks` is armed
 
 
 _state = _State()
@@ -151,16 +161,18 @@ class Tensor:
     """A numpy-backed value on the autodiff tape.
 
     Feature maps are 4-D (n, c, h, w); parameters may be lower rank.
-    Data is always float64 and must be finite; non-finite values are
-    rejected with `NonFiniteError` at construction, i.e. at every
-    operation boundary.
+    Data is always float64. A tensor built by a caller (inputs, parameters,
+    constants) must be finite: non-finite values are rejected with
+    `NonFiniteError` at construction. Op outputs skip that scan (`_scan`
+    is private to `_record`); see the module docstring for where they are
+    checked instead.
     """
 
     __slots__ = ("data", "grad", "requires_grad", "_parents", "_bwd", "_done")
 
-    def __init__(self, data, requires_grad=False):
+    def __init__(self, data, requires_grad=False, _scan=True):
         arr = np.asarray(data, dtype=np.float64)
-        if not np.isfinite(arr).all():
+        if _scan and not np.isfinite(arr).all():
             raise NonFiniteError("tensor holds non-finite values (NaN or Inf)")
         self.data = arr
         self.grad = None
@@ -237,8 +249,63 @@ def _acc(t, g):
     t.grad = g if t.grad is None else t.grad + g
 
 
+class _OpChecks:
+    """State of one armed `op_checks` block in one thread."""
+
+    def __init__(self, names):
+        self.names = names   # id(module) -> its module path
+        self.stack = []      # modules being called, innermost last
+
+    def where(self, bwd):
+        """'<op> at <module path>' of the op whose backward closure is `bwd`."""
+        # "conv2d.<locals>.bwd" -> "conv2d"
+        op = bwd.__qualname__.rsplit(".<locals>.", 1)[0].rsplit(".", 1)[-1]
+        if not self.stack:
+            return f"{op} outside any module"
+        mod = self.stack[-1]
+        return f"{op} at {self.names.get(id(mod)) or type(mod).__name__}"
+
+    def watch(self, data, parents, bwd):
+        """Scan an op's output; return its backward closure, made to scan
+        the gradients it adds to the op's inputs."""
+        where = self.where(bwd)
+        if not np.isfinite(data).all():
+            raise NonFiniteError(
+                f"{where}, the first op to output a non-finite value")
+
+        def checked(g):
+            bwd(g)
+            for p in parents:
+                if p.grad is not None and not np.isfinite(p.grad).all():
+                    raise NonFiniteError(f"the backward of {where}, the first "
+                                         "to make a non-finite gradient")
+
+        return checked
+
+
+@contextmanager
+def op_checks(names):
+    """Arm per-op finiteness checks in this thread for the block.
+
+    `names` maps `id(module)` to its module path; `Module.__call__` keeps
+    the stack of modules being called while armed, so a failing op is
+    named with the path of the innermost one. Meant for re-running a
+    computation that failed a boundary check (`nn.locate_nonfinite`).
+    Not in `__all__`: perfbench's tracer would wrap it as an op.
+    """
+    prev = _state.checks
+    _state.checks = _OpChecks(names)
+    try:
+        yield
+    finally:
+        _state.checks = prev
+
+
 def _record(data, parents, bwd):
-    out = Tensor(data)
+    checks = _state.checks
+    if checks is not None:
+        bwd = checks.watch(data, parents, bwd)
+    out = Tensor(data, _scan=False)
     if _state.grad_enabled and any(p.requires_grad for p in parents):
         out.requires_grad = True
         out._parents = tuple(p for p in parents if p.requires_grad)
@@ -765,9 +832,10 @@ def _resize_matrix(n_in, n_out):
 def bilinear_resize(x, out_h, out_w):
     """Bilinear resampling with half-pixel source centers.
 
-    Separable: a 1-D interpolation matrix per axis. Half-pixel is the only
-    convention here (no align_corners mode). A same-size call takes the
-    same path: its matrices are identities.
+    Separable: a 1-D interpolation matrix per axis, applied forward as two
+    matmuls (an einsum would plan its contraction on every call). Half-pixel
+    is the only convention here (no align_corners mode). A same-size call
+    takes the same path: its matrices are identities.
     """
     x = _as_tensor(x)
     _check_4d(x, "resize input")
@@ -777,8 +845,7 @@ def bilinear_resize(x, out_h, out_w):
     h, w = x.data.shape[2:]
     ah = _resize_matrix(h, out_h)
     aw = _resize_matrix(w, out_w)
-    tmp = np.einsum("oh,nchw->ncow", ah, x.data, optimize=True)
-    out = np.einsum("pw,ncow->ncop", aw, tmp, optimize=True)
+    out = np.matmul(np.matmul(ah, x.data), aw.T)
     _count(8 * out.size)
 
     def bwd(g):

@@ -29,6 +29,7 @@ from .nn import (
     Sequential,
     bn_act_conv,
     conv_bn,
+    locate_nonfinite,
 )
 
 PRESETS = {
@@ -70,9 +71,10 @@ class ModelConfig:
     def validate(self):
         if self.class_count < 2:
             raise ValueError(f"class_count must be >= 2, got {self.class_count}")
+        resolved = self.resolved()   # a width of 0 stands for 2 * low_width
         for name in ("stem_width", "low_width", "mid_width", "high_width",
-                     "blocks_per_stage"):
-            if getattr(self, name) < 1:
+                     "blocks_per_stage", "fuse_width", "head_width"):
+            if getattr(resolved, name) < 1:
                 raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
         if self.ppm not in ("dappm", "dlkppm"):
             raise ValueError(f"ppm must be 'dappm' or 'dlkppm', got {self.ppm!r}")
@@ -257,6 +259,11 @@ class BilateralNet(Module):
         if mode == "train":
             aux_logits = E.bilinear_resize(self.aux_head(aux_src, mode), h, w)
 
+        # the engine does not scan op outputs; the model checks what it returns
+        outs = (seg, boundary_logits) if aux_logits is None else (
+            seg, boundary_logits, aux_logits)
+        if not all(np.isfinite(t.data).all() for t in outs):
+            locate_nonfinite(self, lambda: self(x, mode), "model output")
         return ModelOutputs(seg_logits=seg, boundary_logits=boundary_logits,
                             aux_logits=aux_logits)
 

@@ -8,6 +8,11 @@ stored, so a model object is immutable during inference.
 Every leaf module also implements `cost(in_shape, prefix)`, the static
 side of the FLOP accounting (see `lka_seg.costs`); composites mirror
 their forward dataflow there.
+
+`locate_nonfinite` re-runs a computation that failed a finiteness check
+with the engine's per-op checks armed; only then does `Module.__call__`
+keep the stack of modules being called, which names the failing op's
+module path.
 """
 
 from __future__ import annotations
@@ -16,6 +21,30 @@ import numpy as np
 
 from . import engine as E
 from . import costs
+
+
+def locate_nonfinite(model, run, what):
+    """Name the op behind a failed finiteness check; always raises.
+
+    Re-runs `run()` (the computation whose `what` came out non-finite) with
+    the engine's per-op checks armed, and raises the `NonFiniteError` of
+    the first op output or gradient that is not finite, with the op's
+    module path under `model`. The buffers (batch-norm running statistics)
+    are restored afterwards, so a train-mode re-run leaves `model` as the
+    failed run left it.
+    """
+    names = {id(m): path for path, m in model.named_modules()}
+    saved = [b.copy() for _, b in model.named_buffers()]
+    try:
+        with E.op_checks(names):
+            run()
+    except E.NonFiniteError as err:
+        raise E.NonFiniteError(f"non-finite {what}, traced to {err}") from err
+    finally:
+        for (_, b), s in zip(model.named_buffers(), saved):
+            b[...] = s
+    raise E.NonFiniteError(
+        f"non-finite {what}, but no op made a non-finite value when re-run")
 
 
 def kaiming_normal(rng, shape, fan_in):
@@ -42,29 +71,38 @@ class Module:
         self._buffers[name] = array
         object.__setattr__(self, name, array)
 
-    def named_parameters(self, prefix=""):
-        for name, p in self._params.items():
-            yield (prefix + name if not prefix else f"{prefix}.{name}"), p
+    def named_modules(self, prefix=""):
+        """This module and its descendants, depth first; this one is `prefix`."""
+        yield prefix, self
         for cname, child in self._children.items():
-            sub = cname if not prefix else f"{prefix}.{cname}"
-            yield from child.named_parameters(sub)
+            yield from child.named_modules(cname if not prefix else f"{prefix}.{cname}")
+
+    def named_parameters(self, prefix=""):
+        for path, m in self.named_modules(prefix):
+            for name, p in m._params.items():
+                yield (name if not path else f"{path}.{name}"), p
 
     def parameters(self):
         for _, p in self.named_parameters():
             yield p
 
     def named_buffers(self, prefix=""):
-        for name, b in self._buffers.items():
-            yield (prefix + name if not prefix else f"{prefix}.{name}"), b
-        for cname, child in self._children.items():
-            sub = cname if not prefix else f"{prefix}.{cname}"
-            yield from child.named_buffers(sub)
+        for path, m in self.named_modules(prefix):
+            for name, b in m._buffers.items():
+                yield (name if not path else f"{path}.{name}"), b
 
     def forward(self, x, mode="eval"):
         raise NotImplementedError
 
     def __call__(self, *args, **kwargs):
-        return self.forward(*args, **kwargs)
+        checks = E._state.checks
+        if checks is None:
+            return self.forward(*args, **kwargs)
+        checks.stack.append(self)
+        try:
+            return self.forward(*args, **kwargs)
+        finally:
+            checks.stack.pop()
 
     def cost(self, in_shape, prefix=""):
         raise NotImplementedError(f"{type(self).__name__} has no static cost model")

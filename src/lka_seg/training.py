@@ -32,6 +32,7 @@ import numpy as np
 from scipy.special import expit
 
 from . import engine as E
+from .nn import locate_nonfinite
 
 MOMENTUM = 0.9
 WEIGHT_DECAY = 1e-4
@@ -326,8 +327,8 @@ class TrainConfig:
     def validate(self):
         if self.epochs < 1 or self.batch_size < 1:
             raise ValueError("epochs and batch_size must be positive")
-        if self.base_lr < 0:
-            raise ValueError(f"base_lr must be >= 0, got {self.base_lr}")
+        if not (np.isfinite(self.base_lr) and self.base_lr >= 0):
+            raise ValueError(f"base_lr must be finite and >= 0, got {self.base_lr}")
 
 
 def _collate(samples):
@@ -345,12 +346,36 @@ def _augment(images, labels, rng):
 
 
 def _first_nonfinite(model):
+    """'parameter <name>' or 'gradient <name>' of the first non-finite one, else None."""
     for name, p in model.named_parameters():
         if not np.isfinite(p.data).all():
             return f"parameter {name}"
         if p.grad is not None and not np.isfinite(p.grad).all():
             return f"gradient {name}"
-    return "loss"
+    return None
+
+
+def _train_step(model, images, labels):
+    """Forward, loss and, when the loss is finite, backward of one batch.
+
+    Returns the loss value. The gradients are left on the parameters.
+    """
+    out = model(E.Tensor(images), "train")
+    seg_cfg = OhemConfig(
+        OHEM_THRESHOLD,
+        max(1, int(labels.size * OHEM_MIN_KEPT_FRAC)),
+    )
+    loss = ohem_cross_entropy(out.seg_logits, labels, seg_cfg)
+    aux = ohem_cross_entropy(out.aux_logits, labels, seg_cfg)
+    loss = E.add(loss, E.mul(aux, AUX_WEIGHT))
+    target = boundary_target_at_scale(
+        labels, images.shape[2] // out.boundary_logits.data.shape[2])
+    bl = boundary_bce(out.boundary_logits, target)
+    loss = E.add(loss, E.mul(bl, BOUNDARY_WEIGHT))
+    loss_val = loss.item()
+    if np.isfinite(loss_val):
+        loss.backward()
+    return loss_val
 
 
 def evaluate(model, dataset, class_count, batch_size=VAL_BATCH,
@@ -405,8 +430,11 @@ def train_model(model, train_data, val_data, cfg: TrainConfig, out_dir=None,
     three files are on disk when this returns. A failed checkpoint write
     raises `OSError` no later than the next epoch's save or the return;
     on any error, the checkpoints of earlier epochs are in place when it
-    propagates. Aborts with `NumericalAbort` on the first non-finite
-    loss, naming the first non-finite parameter or gradient.
+    propagates. Aborts with `NumericalAbort` when a step's model outputs,
+    loss or parameter gradients are not finite, naming the first
+    non-finite parameter or gradient and, from a re-run of the step with
+    per-op checks armed, the first op that made a non-finite value and its
+    module path.
     """
     from .data_io import save_checkpoint
 
@@ -438,27 +466,23 @@ def train_model(model, train_data, val_data, cfg: TrainConfig, out_dir=None,
                 images, labels = _augment(images, labels, rng)
                 lr = poly_lr(cfg.base_lr, it, max_iter)
 
+                culprit = None
                 try:
-                    out = model(E.Tensor(images), "train")
-                    seg_cfg = OhemConfig(
-                        OHEM_THRESHOLD,
-                        max(1, int(labels.size * OHEM_MIN_KEPT_FRAC)),
-                    )
-                    loss = ohem_cross_entropy(out.seg_logits, labels, seg_cfg)
-                    aux = ohem_cross_entropy(out.aux_logits, labels, seg_cfg)
-                    loss = E.add(loss, E.mul(aux, AUX_WEIGHT))
-                    target = boundary_target_at_scale(
-                        labels, images.shape[2] // out.boundary_logits.data.shape[2])
-                    bl = boundary_bce(out.boundary_logits, target)
-                    loss = E.add(loss, E.mul(bl, BOUNDARY_WEIGHT))
-                    loss_val = loss.item()
-                    if not np.isfinite(loss_val):
-                        raise E.NonFiniteError("non-finite loss")
-                    loss.backward()
+                    loss_val = _train_step(model, images, labels)
+                    culprit = _first_nonfinite(model)
+                    if culprit or not np.isfinite(loss_val):
+                        # re-run the step with per-op checks to name the op;
+                        # stale gradients would be blamed on the first op
+                        # that adds to them
+                        opt.zero_grad()
+                        locate_nonfinite(
+                            model, lambda: _train_step(model, images, labels),
+                            "gradient" if culprit else "loss")
                 except E.NonFiniteError as err:
+                    culprit = culprit or _first_nonfinite(model)
                     raise NumericalAbort(
-                        f"non-finite value at iteration {it}: first non-finite "
-                        f"{_first_nonfinite(model)} ({err})"
+                        f"non-finite value at iteration {it}: {err}"
+                        + (f"; first non-finite {culprit}" if culprit else "")
                     ) from err
                 opt.step(lr)
                 opt.zero_grad()

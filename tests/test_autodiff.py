@@ -160,3 +160,31 @@ def test_disconnected_branch_gets_no_grad(rng):
     loss = sum_all(E.mul(x, x))
     loss.backward()
     assert x.grad is not None and y.grad is None
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered")
+def test_op_outputs_are_not_scanned():
+    # finiteness is checked at the model's boundaries, not inside ops
+    big = E.Tensor(np.full((1, 1, 2, 2), 1e200))
+    assert np.isinf(E.mul(big, big).data).all()
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered")
+def test_armed_checks_name_the_first_faulty_op():
+    big = E.Tensor(np.full((1, 1, 2, 2), 1e200))
+    with E.op_checks({}):
+        with pytest.raises(E.NonFiniteError,
+                           match="^mul outside any module, the first op"):
+            E.relu(E.mul(big, big))
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered")
+def test_armed_backward_names_the_op_whose_gradient_overflows():
+    # forward 1e-300 * 1e300 * 1e10 is finite; d/da = 1e300 * 1e10 is not
+    a = E.Parameter(np.array([1e-300]))
+    with E.op_checks({}):
+        loss = E.mul(E.mul(a, 1e300), 1e10)
+        with pytest.raises(E.NonFiniteError,
+                           match="^the backward of mul outside any module"):
+            loss.backward()
+    assert not np.isfinite(a.grad).all()

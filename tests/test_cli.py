@@ -2,11 +2,14 @@
 
 import json
 import os
+import re
 
 import numpy as np
 import pytest
 
 from lka_seg.cli import main
+from lka_seg.data_io import load_into_model, save_checkpoint
+from lka_seg.model import ModelConfig, build_model
 from helpers import set_first_offset
 
 TOY_CONFIG = {
@@ -208,6 +211,39 @@ class TestTrain:
         assert rc == 2
         assert named in capsys.readouterr().err
 
+    @pytest.mark.parametrize("text", ["NaN", "1e400", "-Infinity"])
+    def test_non_finite_base_lr_exits_2(self, tmp_path, capsys, text):
+        # Python's JSON reader takes NaN and Infinity, and 1e400 reads as inf
+        data = synth(tmp_path, count=8, classes=3)
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps(TINY_CONFIG).replace('"base_lr": 0.05',
+                                                       f'"base_lr": {text}'))
+        rc = main(["train", "--config", str(cfg), "--data", data,
+                   "--out", str(tmp_path / "run"), "--val-count", "2"])
+        assert rc == 2
+        assert "base_lr must be finite" in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
+
+    @pytest.mark.parametrize("field", ["fuse_width", "head_width"])
+    def test_negative_width_exits_2_naming_field(self, tmp_path, capsys, field):
+        doc = json.loads(json.dumps(TINY_CONFIG))
+        doc["model"][field] = -3
+        assert main(["params", "--config", write_config(tmp_path, doc)]) == 2
+        assert f"{field} must be >= 1, got -3" in capsys.readouterr().err
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered")
+    @pytest.mark.filterwarnings("ignore:invalid value encountered")
+    def test_op_overflow_exits_3_naming_op_and_module(self, tmp_path, capsys):
+        data = synth(tmp_path, count=8, classes=3)
+        doc = json.loads(json.dumps(TINY_CONFIG))
+        doc["train"]["base_lr"] = 1e300
+        rc = main(["train", "--config", write_config(tmp_path, doc), "--data",
+                   data, "--out", str(tmp_path / "run"), "--val-count", "2"])
+        assert rc == 3
+        assert re.search(r"numerical abort: .* traced to \w+ at [\w.]+, the first "
+                         r"op to output a non-finite value",
+                         capsys.readouterr().err)
+
     def test_float_field_takes_int(self, tmp_path, capsys):
         doc = json.loads(json.dumps(TINY_CONFIG))
         doc["train"]["base_lr"] = 1
@@ -337,6 +373,22 @@ class TestEvalInfer:
         rc = main(["eval", "--config", cfg, "--ckpt", str(bad), "--data", data])
         assert rc == 4
         assert "offset" in capsys.readouterr().err
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered")
+    @pytest.mark.filterwarnings("ignore:invalid value encountered")
+    def test_overflowing_weights_exit_2_naming_op_and_module(self, trained,
+                                                             tmp_path, capsys):
+        data, cfg, ckpt = trained
+        model = build_model(ModelConfig(**TINY_CONFIG["model"]))
+        load_into_model(model, ckpt)
+        conv = model.low_stage1[0].body[0]
+        conv.weight.data = conv.weight.data * 1e300   # finite, so it loads
+        bad = str(tmp_path / "scaled.ckpt")
+        save_checkpoint(model, bad)
+        rc = main(["eval", "--config", cfg, "--ckpt", bad, "--data", data])
+        assert rc == 2
+        assert re.search(r"error: non-finite model output, traced to \w+ at "
+                         r"[\w.]+, the first op", capsys.readouterr().err)
 
     def test_missing_checkpoint_exits_4(self, trained, capsys):
         data, cfg, _ = trained

@@ -171,6 +171,26 @@ class TestBilinearResize:
         out = E.bilinear_resize(E.Tensor(x), 11, 4)
         assert rel_err(out.data, bilinear_naive(x, 11, 4)) < 1e-13
 
+    @pytest.mark.parametrize("shape, size", [
+        ((1, 64, 1, 1), (8, 8)),
+        ((1, 32, 2, 2), (8, 8)),
+        ((1, 16, 4, 4), (8, 8)),
+        ((1, 5, 8, 8), (64, 64)),
+        ((8, 64, 1, 1), (8, 8)),
+        ((8, 16, 4, 4), (32, 32)),
+        ((8, 5, 32, 32), (256, 256)),
+    ])
+    def test_forward_matches_einsum_bit_for_bit(self, shape, size):
+        # the model's resize shapes at 64x64 (b1, b8) and 256x256 (b8); the
+        # reference is the pair of einsums the forward ran before
+        x = np.random.default_rng(17).normal(size=shape)
+        ah, aw = (E._resize_matrix(n, m) for n, m in zip(shape[2:], size))
+        ref = np.einsum("pw,ncow->ncop", aw,
+                        np.einsum("oh,nchw->ncow", ah, x, optimize=True),
+                        optimize=True)
+        out = E.bilinear_resize(E.Tensor(x), *size)
+        assert out.data.tobytes() == ref.tobytes()
+
 
 class TestGroupSoftmax:
     """The selector's softmax across branch groups, `engine._select_weights`."""

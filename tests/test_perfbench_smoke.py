@@ -7,6 +7,9 @@ failing any other test. The run also checks a probe scene's logits
 against `perfbench/reference.json` to 1e-12 and the traced FLOPs against
 `count_flops` exactly. The op counts of one b1 64x64 forward are capped,
 so re-splitting the kernel selector's fused mix into small ops fails here.
+The tracer counts tensors by wrapping `Tensor.__init__`; every op output
+must still be built through it, so there are at least as many tensors as
+ops.
 """
 
 import json
@@ -32,3 +35,5 @@ def test_traced_infer_64_run_passes_its_checks():
     assert checks["flops_traced_equal_static"] is True
     assert result["metrics"]["engine.ops"]["value"] <= 273
     assert result["metrics"]["blocks.selector.ops"]["value"] <= 66
+    assert (result["metrics"]["engine.tensors"]["value"]
+            >= result["metrics"]["engine.ops"]["value"])

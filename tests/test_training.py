@@ -9,6 +9,8 @@ import numpy as np
 import pytest
 
 import lka_seg.engine as E
+from lka_seg import model as model_module
+from lka_seg import training
 from lka_seg.data_io import SynthSpec, save_checkpoint, synth_dataset
 from lka_seg.model import ModelConfig, build_model
 from lka_seg.training import (
@@ -333,6 +335,66 @@ class TestTrainLoop:
         cfg = TrainConfig(epochs=1, batch_size=4, base_lr=0.01, seed=0)
         with pytest.raises(NumericalAbort, match="parameter|gradient"):
             train_model(model, data, data, cfg)
+
+    @pytest.fixture
+    def reruns(self, monkeypatch):
+        """Model state (parameter bytes, then buffer bytes) on entry to and
+        on exit from every diagnostic re-run."""
+        states = []
+
+        def spy(real):
+            def locate(model, run, what):
+                def state():
+                    return ([p.data.tobytes() for p in model.parameters()]
+                            + [b.tobytes() for _, b in model.named_buffers()])
+                states.append(state())
+                try:
+                    real(model, run, what)
+                finally:
+                    states.append(state())
+            return locate
+
+        for owner in (model_module, training):
+            monkeypatch.setattr(owner, "locate_nonfinite",
+                                spy(owner.locate_nonfinite))
+        return states
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered")
+    @pytest.mark.filterwarnings("ignore:invalid value encountered")
+    def test_op_overflow_names_op_and_leaves_failed_state(self, reruns):
+        # step 0 scales the weights to ~1e300; step 1's forward overflows
+        # inside an op while every parameter is still finite
+        model = build_model(TINY_MODEL, seed=0)
+        cfg = TrainConfig(epochs=2, batch_size=4, base_lr=1e300, seed=0)
+        with pytest.raises(NumericalAbort,
+                           match=r"iteration 1: non-finite model output, traced "
+                                 r"to \w+ at [\w.]+, the first op"):
+            train_model(model, tiny_data(4), [], cfg)
+        assert len(reruns) == 2
+        assert reruns[0] == reruns[1]
+
+    @pytest.mark.filterwarnings("ignore:invalid value encountered")
+    def test_non_finite_gradient_aborts_before_the_step(self, monkeypatch, reruns):
+        real_bce = training.boundary_bce
+
+        def overflowing_bce(logits, mask):
+            loss = real_bce(logits, mask)
+            return E.custom_op(loss.data, (logits,), lambda g: E._acc(
+                logits, np.full(logits.data.shape, np.inf)))
+
+        monkeypatch.setattr(training, "boundary_bce", overflowing_bce)
+        model = build_model(TINY_MODEL, seed=0)
+        before = [p.data.copy() for p in model.parameters()]
+        cfg = TrainConfig(epochs=1, batch_size=4, base_lr=0.01, seed=0)
+        with pytest.raises(NumericalAbort,
+                           match="iteration 0: non-finite gradient, traced to the "
+                                 "backward of overflowing_bce outside any module"
+                                 ".*; first non-finite gradient "):
+            train_model(model, tiny_data(4), [], cfg)
+        for p, old in zip(model.parameters(), before):
+            np.testing.assert_array_equal(p.data, old)
+        assert len(reruns) == 2
+        assert reruns[0] == reruns[1]
 
     def test_bad_label_is_not_numerical(self):
         model = build_model(TINY_MODEL, seed=0)
