@@ -4,7 +4,8 @@ Commands: synth-data, train, eval, infer, flops, params, rf.
 Configuration is a flat JSON document (versioned with a "version" key,
 unknown keys rejected); command-line flags override file values. Exit
 codes: 0 success, 2 configuration/validation error, 3 numerical abort,
-4 I/O failure.
+4 I/O failure. Commands run with numpy's floating-point warnings off: a
+non-finite value is reported once, by the check that finds it.
 """
 
 from __future__ import annotations
@@ -314,7 +315,10 @@ def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        # Op outputs may overflow until a boundary check names the op, so
+        # numpy's floating-point warnings would only precede that message.
+        with np.errstate(all="ignore"):
+            return args.func(args)
     except ConfigError as err:
         print(f"config error: {err}", file=sys.stderr)
         return EXIT_CONFIG

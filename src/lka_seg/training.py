@@ -384,10 +384,11 @@ def evaluate(model, dataset, class_count, batch_size=VAL_BATCH,
     if batch_size < 1:
         raise ValueError(f"batch_size must be >= 1, got {batch_size}")
     cm = ConfusionMatrix(class_count)
+    fp_errors = np.geterr()   # worker threads do not inherit numpy's error state
 
     def run_chunk(chunk):
         images, labels = _collate(chunk)
-        with E.no_grad():
+        with E.no_grad(), np.errstate(**fp_errors):
             out = model(E.Tensor(images), "eval")
         return out.seg_logits.data.argmax(axis=1), labels
 
@@ -431,10 +432,10 @@ def train_model(model, train_data, val_data, cfg: TrainConfig, out_dir=None,
     raises `OSError` no later than the next epoch's save or the return;
     on any error, the checkpoints of earlier epochs are in place when it
     propagates. Aborts with `NumericalAbort` when a step's model outputs,
-    loss or parameter gradients are not finite, naming the first
-    non-finite parameter or gradient and, from a re-run of the step with
-    per-op checks armed, the first op that made a non-finite value and its
-    module path.
+    loss or parameter gradients, or the epoch's validation outputs, are
+    not finite, naming the first non-finite parameter or gradient and,
+    from a re-run with per-op checks armed, the first op that made a
+    non-finite value and its module path.
     """
     from .data_io import save_checkpoint
 
@@ -489,7 +490,16 @@ def train_model(model, train_data, val_data, cfg: TrainConfig, out_dir=None,
                 epoch_loss += loss_val
                 it += 1
 
-            _, val_miou = evaluate(model, val_data, k) if val_data else (None, 0.0)
+            try:
+                _, val_miou = evaluate(model, val_data, k) if val_data else (None, 0.0)
+            except E.NonFiniteError as err:
+                # the last step's update can overflow the weights without
+                # making its own loss or gradients non-finite
+                culprit = _first_nonfinite(model)
+                raise NumericalAbort(
+                    f"non-finite value in the validation after epoch {epoch}: {err}"
+                    + (f"; first non-finite {culprit}" if culprit else "")
+                ) from err
             row = {"epoch": epoch, "loss": epoch_loss / steps, "miou": val_miou,
                    "lr": lr}
             history.append(row)

@@ -47,6 +47,28 @@ def conv2d_naive(x, w, b=None, stride=(1, 1), padding=(0, 0), dilation=(1, 1), g
     return out
 
 
+def depthwise_tap_loop(x, w, padding=(0, 0), dilation=(1, 1)):
+    """Stride-1 depthwise correlation summed one tap at a time.
+
+    Every tap, in row-major tap order, is added onto a zero array; that
+    order fixes the rounding, and the +0.0 start fixes the sign of an
+    exact zero. A tap that reads only padding adds exact zeros, which
+    leave every bit as it is.
+    """
+    n, c, h, wd = x.shape
+    _, _, kh, kw = w.shape
+    (ph, pw), (dh, dw) = padding, dilation
+    xp = np.pad(x, ((0, 0), (0, 0), (ph, ph), (pw, pw)))
+    oh = h + 2 * ph - (kh - 1) * dh
+    ow = wd + 2 * pw - (kw - 1) * dw
+    out = np.zeros((n, c, oh, ow))
+    for i in range(kh):
+        for j in range(kw):
+            tap = xp[:, :, i * dh : i * dh + oh, j * dw : j * dw + ow]
+            out += tap * w[None, :, 0, i, j, None, None]
+    return out
+
+
 def conv2d_naive_grads(x, w, gout, stride=(1, 1), padding=(0, 0), dilation=(1, 1),
                        groups=1):
     """Gradients (x, w, b) of <conv2d_naive(x, w, b), gout>, the same six loops."""

@@ -3,10 +3,13 @@
 import json
 import os
 import re
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import lka_seg
 from lka_seg.cli import main
 from lka_seg.data_io import load_into_model, save_checkpoint
 from lka_seg.model import ModelConfig, build_model
@@ -31,6 +34,24 @@ def write_config(tmp_path, doc, name="config.json"):
     path = tmp_path / name
     path.write_text(json.dumps(doc))
     return str(path)
+
+
+def run_cli(args, **env):
+    """`lka-seg args` in a fresh interpreter, with `env` added to the
+    environment; returns the completed process (text stdout and stderr)."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(lka_seg.__file__)))
+    return subprocess.run([sys.executable, "-m", "lka_seg.cli", *args],
+                          env=dict(os.environ, PYTHONPATH=src, **env),
+                          capture_output=True, text=True, timeout=600)
+
+
+def overflow_config(tmp_path):
+    """TINY_CONFIG with one step per epoch (6 training scenes of 8 at
+    --val-count 2) whose update overflows the weights: the step's own loss
+    and gradients are finite, the epoch's validation is not."""
+    doc = json.loads(json.dumps(TINY_CONFIG))
+    doc["train"].update(batch_size=8, base_lr=1e300)
+    return write_config(tmp_path, doc, "overflow.json")
 
 
 def synth(tmp_path, out="data", count=8, classes=3, extra=()):
@@ -244,6 +265,34 @@ class TestTrain:
                          r"op to output a non-finite value",
                          capsys.readouterr().err)
 
+    def test_validation_overflow_exits_3_with_the_message_alone(self, tmp_path):
+        # op outputs may overflow before a boundary check names the op;
+        # numpy's warnings about them are not printed
+        data = synth(tmp_path, count=8, classes=3)
+        proc = run_cli(["train", "--config", overflow_config(tmp_path), "--data",
+                        data, "--out", str(tmp_path / "run"), "--val-count", "2"])
+        assert proc.returncode == 3
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1, lines
+        assert re.match(r"numerical abort: non-finite value in the validation "
+                        r"after epoch 0: non-finite model output, traced to \w+ "
+                        r"at [\w.]+", lines[0]), lines
+
+    def test_pinned_blas_runs_are_byte_identical(self, tmp_path):
+        # the determinism precondition: with one BLAS thread, two processes
+        # training the same config write the same bytes
+        data = synth(tmp_path, count=8, classes=3)
+        cfg = write_config(tmp_path, TINY_CONFIG)
+        outs = [str(tmp_path / run) for run in ("r1", "r2")]
+        for out in outs:
+            proc = run_cli(["train", "--config", cfg, "--data", data, "--out",
+                            out, "--val-count", "2"], OPENBLAS_NUM_THREADS="1")
+            assert proc.returncode == 0, proc.stderr
+        for name in ("metrics.csv", "best.ckpt", "last.ckpt"):
+            a = open(os.path.join(outs[0], name), "rb").read()
+            b = open(os.path.join(outs[1], name), "rb").read()
+            assert a == b, name
+
     def test_float_field_takes_int(self, tmp_path, capsys):
         doc = json.loads(json.dumps(TINY_CONFIG))
         doc["train"]["base_lr"] = 1
@@ -389,6 +438,24 @@ class TestEvalInfer:
         assert rc == 2
         assert re.search(r"error: non-finite model output, traced to \w+ at "
                          r"[\w.]+, the first op", capsys.readouterr().err)
+
+    def test_threaded_eval_overflow_stderr_is_the_message_alone(self, trained,
+                                                               tmp_path):
+        # eval --threads runs the forwards in worker threads, which do not
+        # inherit numpy's error state
+        data, cfg, ckpt = trained
+        model = build_model(ModelConfig(**TINY_CONFIG["model"]))
+        load_into_model(model, ckpt)
+        conv = model.low_stage1[0].body[0]
+        conv.weight.data = conv.weight.data * 1e300
+        bad = str(tmp_path / "scaled.ckpt")
+        save_checkpoint(model, bad)
+        proc = run_cli(["eval", "--config", cfg, "--ckpt", bad, "--data", data,
+                        "--threads", "2", "--batch", "4"])
+        assert proc.returncode == 2
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith(
+            "error: non-finite model output"), lines
 
     def test_missing_checkpoint_exits_4(self, trained, capsys):
         data, cfg, _ = trained

@@ -1,5 +1,6 @@
 """Convolution against the six-nested-loop oracle, plus its contracts."""
 
+import itertools
 import weakref
 
 import numpy as np
@@ -9,7 +10,8 @@ import lka_seg.engine as E
 from lka_seg.context import POOL_SCALES
 from helpers import gradcheck, sum_all
 from oracles import (avg_pool_naive, avg_pool_naive_grad, conv2d_naive,
-                     conv2d_naive_grads, expand_kernel, rel_err)
+                     conv2d_naive_grads, depthwise_tap_loop, expand_kernel,
+                     rel_err)
 
 
 def test_scalar_product():
@@ -294,6 +296,23 @@ def test_dead_taps_match_oracle(geometry):
     gradcheck(lambda: sum_all(E.mul(E.conv2d(xt, wt, bt, **kw), dt)), [xt, wt, bt])
 
 
+def test_live_taps_are_the_taps_that_read_the_input():
+    # per axis: exactly the taps whose reads straddle the input, which
+    # include every tap with a read inside it
+    live_taps = E._live_taps.__wrapped__   # uncached: 12k geometries
+    for size, k, s, p, d in itertools.product(range(1, 9), range(1, 12), range(1, 4),
+                                              range(16), range(1, 4)):
+        o = (size + 2 * p - (k - 1) * d - 1) // s + 1
+        if o < 1:
+            continue
+        got = live_taps((size, 1), (k, 1), (s, 1), (p, 0), (d, 1), (o, 1))[0]
+        straddle = [i for i in range(k)
+                    if i * d - p < size and i * d - p + (o - 1) * s >= 0]
+        reads = {i for i in range(k)
+                 if any(0 <= i * d - p + y * s < size for y in range(o))}
+        assert list(got) == straddle and reads <= set(got), (size, k, s, p, d)
+
+
 @pytest.mark.parametrize("shape", [(1, 2, 2, 3), (1, 1, 1, 1)])
 def test_dead_pool_taps_match_oracle(shape):
     # the pyramid's smallest pool (5, stride 2, padding 2) on maps it overhangs
@@ -371,3 +390,118 @@ def test_graph_does_not_hold_replaced_weights(groups):
     del old
     assert ref() is None
     assert out.requires_grad
+
+
+# Every depthwise geometry the toy model runs, by (channels, map size,
+# kernel, padding, dilation); stride 1 throughout.
+MODEL_DEPTHWISE = [
+    (16, 8, (5, 5), (2, 2), (1, 1)),
+    (32, 4, (5, 5), (2, 2), (1, 1)),
+    (32, 2, (5, 5), (2, 2), (1, 1)),
+    (64, 2, (5, 5), (2, 2), (1, 1)),
+    (16, 8, (1, 11), (0, 15), (1, 3)),
+    (16, 8, (11, 1), (15, 0), (3, 1)),
+    (32, 4, (1, 11), (0, 15), (1, 3)),
+    (64, 2, (11, 1), (15, 0), (3, 1)),
+    (32, 8, (3, 3), (1, 1), (1, 1)),
+    (64, 4, (3, 3), (1, 1), (1, 1)),
+    (128, 2, (3, 3), (1, 1), (1, 1)),
+    (48, 1, (1, 1), (0, 0), (1, 1)),
+    (192, 1, (1, 1), (0, 0), (1, 1)),
+]
+
+
+def _depthwise_case(rng, n, c, h, kernel):
+    # magnitudes spread over 12 decades, so a change of summation order
+    # changes bits
+    x = rng.normal(size=(n, c, h, h)) * 10.0 ** rng.integers(-6, 6, (n, c, h, h))
+    w = rng.normal(size=(c, 1, *kernel)) * 10.0 ** rng.integers(-6, 6, (c, 1, *kernel))
+    return x, w
+
+
+def _depthwise_temp(n, c, h, kernel, padding, dilation):
+    """Elements of the live-tap product a batched depthwise forward forms."""
+    oh, ow = E._out_hw(h, h, kernel, (1, 1), padding, dilation)
+    rows, cols = E._live_taps((h, h), kernel, (1, 1), padding, dilation, (oh, ow))
+    return len(rows) * len(cols) * n * c * oh * ow
+
+
+@pytest.mark.parametrize("batched", [True, False], ids=["batched", "loop"])
+@pytest.mark.parametrize("geometry", MODEL_DEPTHWISE)
+def test_model_depthwise_matches_tap_loop_bytes(geometry, batched, monkeypatch):
+    c, h, kernel, padding, dilation = geometry
+    if not batched:
+        monkeypatch.setattr(E, "_DW_BATCH_MAX", 0)
+    rng = np.random.default_rng(26)
+    for n in (1, 4):
+        assert (_depthwise_temp(n, c, h, kernel, padding, dilation)
+                <= E._DW_BATCH_MAX) == batched
+        x, w = _depthwise_case(rng, n, c, h, kernel)
+        out = E.conv2d(E.Tensor(x), E.Tensor(w), padding=padding,
+                       dilation=dilation, groups=c)
+        ref = depthwise_tap_loop(x, w, padding, dilation)
+        assert out.data.tobytes() == ref.tobytes()
+
+
+@pytest.mark.parametrize("n, c, h, padding", [(2, 64, 16, (2, 2)), (1, 1, 5, (0, 0))],
+                         ids=["above-crossover", "lone-output-cell"])
+def test_depthwise_loop_side_matches_tap_loop_bytes(n, c, h, padding):
+    # the forward loops over taps above the crossover, and for a single
+    # output cell, whose taps one numpy reduction would sum pairwise
+    if c > 1:
+        assert _depthwise_temp(n, c, h, (5, 5), padding, (1, 1)) > E._DW_BATCH_MAX
+    x, w = _depthwise_case(np.random.default_rng(27), n, c, h, (5, 5))
+    out = E.conv2d(E.Tensor(x), E.Tensor(w), padding=padding, groups=c)
+    assert out.data.tobytes() == depthwise_tap_loop(x, w, padding).tobytes()
+
+
+@pytest.mark.parametrize("batched", [True, False], ids=["batched", "loop"])
+def test_depthwise_zero_region_keeps_positive_zero(batched, monkeypatch):
+    # every product over the zero rows is -0.0; summed from +0.0 they give
+    # +0.0, where a sum started from the first product would give -0.0
+    if not batched:
+        monkeypatch.setattr(E, "_DW_BATCH_MAX", 0)
+    rng = np.random.default_rng(28)
+    x = rng.normal(size=(2, 4, 8, 8))
+    x[:, :, :3] = 0.0
+    w = -np.abs(rng.normal(size=(4, 1, 3, 3))) - 0.5
+    out = E.conv2d(E.Tensor(x), E.Tensor(w), padding=(0, 1), groups=4)
+    assert out.data.tobytes() == depthwise_tap_loop(x, w, (0, 1)).tobytes()
+    assert (out.data[:, :, 0] == 0.0).all()
+    assert not np.signbit(out.data[:, :, 0]).any()
+
+
+def _pointwise_im2col(x, w, groups):
+    """A 1x1 stride-1 conv through a window view and its im2col columns."""
+    xp = np.ascontiguousarray(x)
+    n, c, h, wd = xp.shape
+    cout, cg = w.shape[:2]
+    s0, s1, s2, s3 = xp.strides
+    win = np.lib.stride_tricks.as_strided(xp, (n, c, h, wd, 1, 1),
+                                          (s0, s1, s2, s3, s2, s3))
+    cols = win.transpose(0, 1, 4, 5, 2, 3).reshape(n, groups, cg, h * wd)
+    out = np.matmul(w.reshape(groups, cout // groups, -1), cols)
+    return out.reshape(n, cout, h, wd), cols
+
+
+@pytest.mark.parametrize("groups", [1, 2])
+@pytest.mark.parametrize("layout", ["contiguous", "channel-slice", "transposed"])
+def test_pointwise_conv_matches_im2col_bytes(layout, groups):
+    rng = np.random.default_rng(29)
+    n, c, h, wd, cout = 3, 4, 5, 6, 6
+    if layout == "contiguous":
+        x = rng.normal(size=(n, c, h, wd))
+    elif layout == "channel-slice":
+        x = rng.normal(size=(n, c + 3, h, wd))[:, 2:2 + c]
+    else:
+        x = rng.normal(size=(wd, h, c, n)).transpose(3, 2, 1, 0)
+    w = rng.normal(size=(cout, c // groups, 1, 1))
+    d = rng.normal(size=(n, cout, h, wd))
+    xt, wt = E.Parameter(x), E.Parameter(w)
+    out = E.conv2d(xt, wt, groups=groups)
+    want, cols = _pointwise_im2col(x, w, groups)
+    assert out.data.tobytes() == want.tobytes()
+    sum_all(E.mul(out, E.Tensor(d))).backward()
+    gog = d.reshape(n, groups, cout // groups, h * wd)
+    gw = np.matmul(gog, cols.transpose(0, 1, 3, 2)).sum(axis=0).reshape(w.shape)
+    assert wt.grad.tobytes() == gw.tobytes()

@@ -263,3 +263,44 @@ class TestGradients:
                 continue
             denom = max(abs(grad), abs(fd))
             assert abs(grad - fd) / denom < 1e-5, (name, flat, grad, fd)
+
+
+def _batched_vs_looped(monkeypatch, run):
+    """`run()` with the depthwise forward at its default crossover, then
+    with every depthwise call forced onto the tap loop."""
+    default = run()
+    monkeypatch.setattr(E, "_DW_BATCH_MAX", 0)
+    return default, run()
+
+
+def test_depthwise_crossover_keeps_model_bits(monkeypatch):
+    cfg = preset_config("toy", class_count=5, fuse_width=48, head_width=48)
+    x = np.random.default_rng(12).normal(size=(1, 3, 64, 64))
+
+    def logits():
+        with E.no_grad():
+            out = build_model(cfg, seed=2)(E.Tensor(x), "eval")
+        return out.seg_logits.data.tobytes() + out.boundary_logits.data.tobytes()
+
+    default, looped = _batched_vs_looped(monkeypatch, logits)
+    assert default == looped
+
+
+def test_depthwise_crossover_keeps_train_step_bits(monkeypatch):
+    from lka_seg import training
+    from lka_seg.data_io import SynthSpec, synth_dataset
+
+    cfg = preset_config("toy", class_count=5, fuse_width=48, head_width=48)
+    data = synth_dataset(SynthSpec(seed=7, count=4, height=64, width=64,
+                                   class_count=5))
+    images, labels = training._collate(data)
+
+    def step():
+        model = build_model(cfg, seed=2)
+        loss = training._train_step(model, images, labels)
+        state = [p.grad for _, p in model.named_parameters()]
+        state += [v for _, v in model.named_buffers()]
+        return repr(loss), [a.tobytes() for a in state]
+
+    default, looped = _batched_vs_looped(monkeypatch, step)
+    assert default == looped
