@@ -167,29 +167,13 @@ def cmd_train(args):
     return EXIT_OK
 
 
-def _eval_threads(flag):
-    """Thread count of `eval`: the --threads flag, else LKA_SEG_THREADS, else 1."""
-    if flag is not None:
-        source, text = "--threads", flag
-    else:
-        source, text = "LKA_SEG_THREADS", os.environ.get("LKA_SEG_THREADS", "1")
-    try:
-        threads = int(text)
-    except ValueError:
-        raise ConfigError(f"{source} must be an integer, got {text!r}") from None
-    if threads < 1:
-        raise ConfigError(f"{source} must be >= 1, got {threads}")
-    return threads
-
-
 def cmd_eval(args):
-    threads = _eval_threads(args.threads)
     model, model_cfg, train_cfg = _build_from_args(args)
     data_io.load_into_model(model, args.ckpt)
     samples, _ = data_io.load_dataset(args.data)
     per_class, mean = evaluate(model, samples, model_cfg.class_count,
-                               batch_size=args.batch, threads=threads)
-    print(f"samples {len(samples)} threads {threads}")
+                               batch_size=args.batch)
+    print(f"samples {len(samples)}")
     print("class  iou")
     for idx, iou in enumerate(per_class):
         text = "absent" if np.isnan(iou) else f"{iou:.6f}"
@@ -284,7 +268,6 @@ def build_parser():
     p.add_argument("--ckpt", required=True)
     p.add_argument("--data", required=True)
     p.add_argument("--batch", type=int, default=8)
-    p.add_argument("--threads", help="default: LKA_SEG_THREADS, else 1")
     p.add_argument("--ppm", choices=("dappm", "dlkppm"))
     p.add_argument("--fixed-gate", type=float)
     p.set_defaults(func=cmd_eval)
@@ -302,7 +285,8 @@ def build_parser():
     for name, func in (("flops", cmd_flops), ("params", cmd_params), ("rf", cmd_rf)):
         p = sub.add_parser(name, help=f"report {name}")
         p.add_argument("--config", required=True)
-        p.add_argument("--format", choices=("table", "csv"), default="table")
+        if name != "params":
+            p.add_argument("--format", choices=("table", "csv"), default="table")
         p.add_argument("--ppm", choices=("dappm", "dlkppm"))
         if name == "flops":
             p.add_argument("--size", type=int, default=64)

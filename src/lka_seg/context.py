@@ -32,7 +32,7 @@ POOL_SCALES = ((5, 2, 2), (9, 4, 4), (17, 8, 8))
 
 # (k, h, w) degradations already logged. Kept per process rather than on
 # the PyramidPooling object, so a forward never writes to the model; locked
-# because threaded evaluation runs forwards concurrently.
+# because a caller may run forwards from several threads at once.
 _notified = set()
 _notified_lock = threading.Lock()
 

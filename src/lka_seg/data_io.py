@@ -83,15 +83,22 @@ class SynthSpec:
             raise ValueError(
                 f"class_count must be in [2, 16], got {self.class_count}"
             )
-        if self.height % 64 or self.width % 64:
+        if min(self.height, self.width) < 64 or self.height % 64 or self.width % 64:
             raise ValueError(
-                f"height/width must be divisible by 64, got "
+                f"height/width must be >= 64 and divisible by 64, got "
                 f"{self.height}x{self.width}"
             )
-        if self.density <= 0:
-            raise ValueError(f"density must be positive, got {self.density}")
+        if not (math.isfinite(self.density) and self.density > 0):
+            raise ValueError(f"density must be finite and positive, got {self.density}")
         if self.min_shape < 4:
             raise ValueError(f"min_shape must be >= 4, got {self.min_shape}")
+        # the smallest circle radius, min_shape // 2, may not pass the largest
+        top = 2 * int(0.3 * min(self.height, self.width)) + 1
+        if self.min_shape > top:
+            raise ValueError(
+                f"min_shape must be <= {top} at {self.height}x{self.width}, "
+                f"got {self.min_shape}"
+            )
 
 
 @dataclass
@@ -109,6 +116,7 @@ def _paint_scene(rng, spec, class_offset=0):
     collects a comparable mix of shape kinds across a dataset.
     """
     h, w, k = spec.height, spec.width, spec.class_count
+    m = min(h, w)
     labels = np.zeros((h, w), dtype=np.int32)
     yy, xx = np.mgrid[0:h, 0:w]
     lo = spec.min_shape
@@ -121,15 +129,14 @@ def _paint_scene(rng, spec, class_offset=0):
         return cls
 
     for _ in range(max(1, round(2 * spec.density))):
-        hi = max(lo + 1, int(h * 0.6))
-        rh = int(rng.integers(lo, hi + 1))
-        rw = int(rng.integers(lo, hi + 1))
+        rh = int(rng.integers(lo, max(lo + 1, int(h * 0.6)) + 1))
+        rw = int(rng.integers(lo, max(lo + 1, int(w * 0.6)) + 1))
         y0 = int(rng.integers(0, h - rh + 1))
         x0 = int(rng.integers(0, w - rw + 1))
         labels[y0:y0 + rh, x0:x0 + rw] = next_class()
 
     for _ in range(max(1, round(2 * spec.density))):
-        r = int(rng.integers(max(3, lo // 2), max(4, int(h * 0.3)) + 1))
+        r = int(rng.integers(max(3, lo // 2), max(4, int(m * 0.3)) + 1))
         cy = int(rng.integers(r, h - r + 1))
         cx = int(rng.integers(r, w - r + 1))
         disc = (yy - cy) ** 2 + (xx - cx) ** 2 <= r * r
@@ -137,7 +144,7 @@ def _paint_scene(rng, spec, class_offset=0):
 
     for _ in range(max(1, round(spec.density))):
         cls = next_class()
-        length = int(rng.integers(h // 4, h // 2 + 1))
+        length = int(rng.integers(m // 4, m // 2 + 1))
         if rng.integers(2) == 0:
             y0 = int(rng.integers(0, h - 2 + 1))
             x0 = int(rng.integers(0, w - length + 1))

@@ -378,28 +378,17 @@ def _train_step(model, images, labels):
     return loss_val
 
 
-def evaluate(model, dataset, class_count, batch_size=VAL_BATCH,
-             ignore_index=IGNORE_INDEX, threads=1):
+def evaluate(model, dataset, class_count, batch_size=VAL_BATCH):
     """Aggregate confusion over the dataset; returns (per_class, mean) IoU."""
     if batch_size < 1:
         raise ValueError(f"batch_size must be >= 1, got {batch_size}")
     cm = ConfusionMatrix(class_count)
-    fp_errors = np.geterr()   # worker threads do not inherit numpy's error state
-
-    def run_chunk(chunk):
-        images, labels = _collate(chunk)
-        with E.no_grad(), np.errstate(**fp_errors):
-            out = model(E.Tensor(images), "eval")
-        return out.seg_logits.data.argmax(axis=1), labels
-
-    chunks = [dataset[i:i + batch_size] for i in range(0, len(dataset), batch_size)]
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(run_chunk, chunks))
-    else:
-        results = [run_chunk(c) for c in chunks]
-    for pred, labels in results:
-        cm.update(pred, labels, ignore_index)
+    for i in range(0, len(dataset), batch_size):
+        images, labels = _collate(dataset[i:i + batch_size])
+        # hold no model output into the next batch's forward
+        with E.no_grad():
+            pred = model(E.Tensor(images), "eval").seg_logits.data.argmax(axis=1)
+        cm.update(pred, labels, IGNORE_INDEX)
     return miou(cm)
 
 

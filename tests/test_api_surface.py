@@ -31,25 +31,36 @@ def test_every_engine_op_has_a_caller_in_the_package():
     assert [name for name in ops if name not in used] == []
 
 
-def subcommands():
+def subparsers():
     parser = cli.build_parser()
     action = next(a for a in parser._actions
                   if isinstance(a, argparse._SubParsersAction))
-    return list(action.choices)
+    return action.choices
+
+
+def readme_commands():
+    """The `lka-seg ...` lines of README's command block, continuations joined."""
+    readme = (ROOT / "README.md").read_text()
+    section = readme.split("## Command line", 1)[1]
+    block = section.split("```", 2)[1].replace("\\\n", " ")
+    return [line for line in block.splitlines() if line.startswith("lka-seg ")]
 
 
 def test_readme_command_block_lists_every_subcommand():
-    readme = (ROOT / "README.md").read_text()
-    section = readme.split("## Command line", 1)[1]
-    block = section.split("```", 2)[1]
-    listed = [line.split()[1] for line in block.splitlines()
-              if line.startswith("lka-seg ")]
-    assert listed == subcommands()
+    assert [line.split()[1] for line in readme_commands()] == list(subparsers())
+
+
+def test_readme_command_block_flags_exist():
+    parsers = subparsers()
+    stale = [(line.split()[1], flag) for line in readme_commands()
+             for flag in re.findall(r"--[\w-]+", line)
+             if flag not in parsers[line.split()[1]]._option_string_actions]
+    assert stale == []
 
 
 def test_cli_docstring_lists_every_subcommand():
     listed = re.search(r"Commands: ([^.]+)\.", cli.__doc__).group(1)
-    assert listed.split(", ") == subcommands()
+    assert listed.split(", ") == list(subparsers())
 
 
 def test_readme_layout_block_lists_every_module():

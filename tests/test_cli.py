@@ -104,11 +104,36 @@ class TestSynthData:
             assert (open(os.path.join(a, name), "rb").read()
                     == open(os.path.join(b, name), "rb").read()), name
 
-    def test_bad_thread_variable_does_not_concern_synth_data(self, tmp_path,
-                                                            monkeypatch):
-        # only eval reads LKA_SEG_THREADS
-        monkeypatch.setenv("LKA_SEG_THREADS", "two")
-        synth(tmp_path)
+    @pytest.mark.parametrize("height,width", [("128", "64"), ("256", "64")])
+    def test_non_square_scenes(self, tmp_path, height, width):
+        from lka_seg.data_io import load_dataset
+        out = synth(tmp_path, count=16, extra=("--height", height, "--width", width))
+        samples, _ = load_dataset(out)
+        assert samples[0].labels.shape == (int(height), int(width))
+
+    @pytest.mark.parametrize("flags,field", [
+        (("--density", "inf"), "density"),
+        (("--density", "nan"), "density"),
+        (("--height", "0"), "height"),
+        (("--width", "-64"), "width"),
+        (("--min-shape", "40"), "min_shape"),
+    ])
+    def test_unpaintable_spec_exits_2_naming_field(self, tmp_path, capsys,
+                                                   flags, field):
+        rc = main(["synth-data", "--out", str(tmp_path / "d"), *flags])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error") and field in err, err
+        assert not (tmp_path / "d").exists()
+
+    def test_spec_file_infinite_density_exits_2(self, tmp_path, capsys):
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text('{"density": Infinity}')
+        rc = main(["synth-data", "--out", str(tmp_path / "d"),
+                   "--spec", str(spec_path)])
+        assert rc == 2
+        assert "density must be finite" in capsys.readouterr().err
+        assert not (tmp_path / "d").exists()
 
     def test_boundary_radius_flag_is_gone(self, tmp_path, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -342,37 +367,18 @@ class TestEvalInfer:
 
     def test_eval_prints_per_class_table(self, trained, capsys):
         data, cfg, ckpt = trained
-        rc = main(["eval", "--config", cfg, "--ckpt", ckpt, "--data", data,
-                   "--threads", "2"])
+        rc = main(["eval", "--config", cfg, "--ckpt", ckpt, "--data", data])
         assert rc == 0
         out = capsys.readouterr().out
+        assert out.splitlines()[0] == "samples 8"
         assert "class  iou" in out and "miou" in out
-        assert "threads 2" in out
 
-    def test_threads_from_flag_else_variable(self, trained, capsys,
-                                             monkeypatch):
-        data, cfg, ckpt = trained
-        args = ["eval", "--config", cfg, "--ckpt", ckpt, "--data", data]
-        monkeypatch.setenv("LKA_SEG_THREADS", "2")
-        assert main(args) == 0
-        assert "threads 2" in capsys.readouterr().out
-        assert main(args + ["--threads", "1"]) == 0
-        assert "threads 1" in capsys.readouterr().out
-
-    def test_bad_thread_count_exits_2_and_names_source(self, trained, capsys,
-                                                       monkeypatch):
-        data, cfg, ckpt = trained
-        args = ["eval", "--config", cfg, "--ckpt", ckpt, "--data", data]
-        for env, flag, source in (("two", None, "LKA_SEG_THREADS"),
-                                  ("0", None, "LKA_SEG_THREADS"),
-                                  ("1", "two", "--threads"),
-                                  ("1", "0", "--threads"),
-                                  ("two", "-1", "--threads")):
-            monkeypatch.setenv("LKA_SEG_THREADS", env)
-            rc = main(args + (["--threads", flag] if flag else []))
-            assert rc == 2, (env, flag)
-            err = capsys.readouterr().err
-            assert err.startswith("config error") and source in err, err
+    def test_threads_flag_is_gone(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["eval", "--config", "c.json", "--ckpt", "c.ckpt", "--data", "d",
+                  "--threads", "2"])
+        assert exc.value.code == 2
+        assert "--threads" in capsys.readouterr().err
 
     def test_eval_on_count_below_one_exits_2(self, trained, capsys):
         data, cfg, ckpt = trained
@@ -441,8 +447,7 @@ class TestEvalInfer:
 
     def test_threaded_eval_overflow_stderr_is_the_message_alone(self, trained,
                                                                tmp_path):
-        # eval --threads runs the forwards in worker threads, which do not
-        # inherit numpy's error state
+        # numpy's overflow warnings would print before the message
         data, cfg, ckpt = trained
         model = build_model(ModelConfig(**TINY_CONFIG["model"]))
         load_into_model(model, ckpt)
@@ -451,7 +456,7 @@ class TestEvalInfer:
         bad = str(tmp_path / "scaled.ckpt")
         save_checkpoint(model, bad)
         proc = run_cli(["eval", "--config", cfg, "--ckpt", bad, "--data", data,
-                        "--threads", "2", "--batch", "4"])
+                        "--batch", "4"])
         assert proc.returncode == 2
         lines = proc.stderr.splitlines()
         assert len(lines) == 1 and lines[0].startswith(
@@ -476,6 +481,13 @@ class TestAnalysisCommands:
         assert main(["rf", "--config", cfg, "--format", "csv"]) == 0
         out = capsys.readouterr().out
         assert "path,rf_h,rf_w" in out and "lka_large,35,35" in out
+
+    def test_params_has_no_format_flag(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, TOY_CONFIG)
+        with pytest.raises(SystemExit) as exc:
+            main(["params", "--config", cfg, "--format", "csv"])
+        assert exc.value.code == 2
+        assert "--format" in capsys.readouterr().err
 
     def test_flops_total_matches_meter(self, tmp_path, capsys):
         cfg = write_config(tmp_path, TOY_CONFIG)

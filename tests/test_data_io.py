@@ -1,5 +1,6 @@
 """Synthetic data determinism, boundary masks, Netpbm and checkpoint formats."""
 
+import hashlib
 import struct
 from types import SimpleNamespace
 
@@ -66,6 +67,41 @@ class TestSynthDataset:
             SynthSpec(height=60).validate()
         with pytest.raises(ValueError, match="count"):
             SynthSpec(count=0).validate()
+
+    @pytest.mark.parametrize("height,width", [(64, 64), (128, 64), (256, 64),
+                                              (64, 192), (192, 128)])
+    def test_smallest_and_largest_shapes_paint(self, height, width):
+        # top // 2 is the largest circle radius, int(0.3 * min(height, width))
+        top = 2 * int(0.3 * min(height, width)) + 1
+        with pytest.raises(ValueError, match=f"min_shape must be <= {top}"):
+            SynthSpec(height=height, width=width, min_shape=top + 1).validate()
+        for seed in range(4):
+            for min_shape, density in ((4, 3.0), (top, 1.0)):
+                spec = SynthSpec(seed=seed, count=16, height=height, width=width,
+                                 density=density, min_shape=min_shape)
+                data = synth_dataset(spec)
+                assert data[0].labels.shape == (height, width)
+
+    @pytest.mark.parametrize("fields,digest", [
+        # criterion 7's scenes at 64 and at 256, and the benchmark's probe
+        (dict(seed=7, count=80, density=0.5, min_shape=28),
+         "9e153b0fa6e1fb7e9fba9406df3ae9d65a43df86816c4b9d522b5c3580003f21"),
+        (dict(seed=7, count=16, height=256, width=256, density=0.5, min_shape=28),
+         "e27310be9b5a5c03441e26168e711551b9c02df7591b9c943736e675a9468834"),
+        (dict(seed=1234, count=1, density=0.5, min_shape=28),
+         "38bcbefd8897f15037d03b8c48e431e3bcc535dc62edfd0e5a432413b9a90ea0"),
+        (dict(seed=3, count=4),
+         "447cb6c8968f9eea6bde7205614b053e821a76f66e3db8696948f6a4cda0d897"),
+        (dict(seed=0, count=6, height=128, width=128, class_count=7,
+              density=2.0, min_shape=12),
+         "25f9e4fbe1cbd44180d46b9b38da7cc4146db871a942242e64398138dd6b701b"),
+    ])
+    def test_square_scenes_keep_their_bytes(self, fields, digest):
+        h = hashlib.sha256()
+        for s in synth_dataset(SynthSpec(**fields)):
+            h.update(s.image.tobytes())
+            h.update(s.labels.tobytes())
+        assert h.hexdigest() == digest
 
     def test_palette_distinct(self):
         assert len({tuple(c) for c in np.round(PALETTE, 6)}) == len(PALETTE)

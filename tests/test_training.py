@@ -424,7 +424,7 @@ def test_evaluate_on_tiny_model():
     data = tiny_data(6)
     per, mean = evaluate(model, data, 3, batch_size=4)
     assert 0.0 <= mean <= 1.0
-    per2, mean2 = evaluate(model, data, 3, batch_size=3, threads=2)
+    per2, mean2 = evaluate(model, data, 3, batch_size=3)
     assert abs(mean - mean2) < 1e-15
 
 
