@@ -34,10 +34,7 @@ def rf_table(model):
 def count_flops(model_or_layer, input_shape):
     """Static per-layer cost of one eval-mode forward at `input_shape`."""
     records, _ = model_or_layer.cost(tuple(input_shape))
-    report = CostReport(input_shape=tuple(input_shape), layers=records)
-    if hasattr(model_or_layer, "rf_paths"):
-        report.rf_table = rf_table(model_or_layer)
-    return report
+    return CostReport(input_shape=tuple(input_shape), layers=records)
 
 
 def count_params(model):
@@ -55,11 +52,6 @@ def report_table(report: CostReport):
     lines = ["  ".join(h.ljust(w) for h, w in zip(head, widths))]
     for r in rows:
         lines.append("  ".join(v.ljust(w) for v, w in zip(r, widths)))
-    if report.rf_table:
-        lines.append("")
-        lines.append("receptive fields (h x w):")
-        for name, (rh, rw) in report.rf_table.items():
-            lines.append(f"  {name}: {rh} x {rw}")
     return "\n".join(lines)
 
 
@@ -69,6 +61,4 @@ def report_csv(report: CostReport):
         shape = "x".join(map(str, rec.out_shape))
         lines.append(f"{rec.name},{rec.kind},{rec.flops},{rec.params},{shape}")
     lines.append(f"total,,{report.total_flops},{report.total_params},")
-    for name, (rh, rw) in report.rf_table.items():
-        lines.append(f"rf:{name},rf,{rh},{rw},")
     return "\n".join(lines) + "\n"

@@ -10,41 +10,21 @@ Two styles share one implementation:
 Scales run identity / pool 5 s2 / pool 9 s4 / pool 17 s8 / global, each
 reduced to a hidden width; every pooled scale is upsampled back to the
 input size and added onto the previous result before its processing conv
-(hierarchical residual). A pooled scale whose window would not fit the
-padded input degrades to global pooling with a logged notice instead of
-failing.
+(hierarchical residual). With k = 2p + 1 and stride p, a pooled map is
+1x1 exactly when h, w <= p; its one window then covers the whole input,
+so `avg_pool` would give the global mean. Such a scale runs the cheaper
+`global_avg_pool`, which gives the same mean up to rounding.
 """
 
 from __future__ import annotations
-
-import logging
-import threading
 
 from . import engine as E
 from . import costs
 from .blocks import large_kernel_convs
 from .nn import Conv2d, Module, ModuleList, bn_act_conv
 
-log = logging.getLogger(__name__)
-
 # (kernel, stride, padding) of the pooled scales, coarse last
 POOL_SCALES = ((5, 2, 2), (9, 4, 4), (17, 8, 8))
-
-# (k, h, w) degradations already logged. Kept per process rather than on
-# the PyramidPooling object, so a forward never writes to the model; locked
-# because a caller may run forwards from several threads at once.
-_notified = set()
-_notified_lock = threading.Lock()
-
-
-def _notice(k, h, w):
-    """Log, once per process, that pool scale k degraded at an h x w input."""
-    with _notified_lock:
-        if (k, h, w) in _notified:
-            return
-        _notified.add((k, h, w))
-    log.info("pyramid scale k=%d degraded to global pooling for %dx%d input",
-             k, h, w)
 
 
 class PyramidPooling(Module):
@@ -74,7 +54,7 @@ class PyramidPooling(Module):
         self.shortcut = bn_act_conv(cin, cout, 1, rng)
 
     def _degenerate(self, k, s, p, h, w):
-        # the scale adds nothing once its pooled map collapses to 1x1
+        # a 1x1 pooled map is the global mean
         oh, ow = costs.conv_out_hw(h, w, (k, k), (s, s), (p, p), (1, 1))
         return oh <= 1 and ow <= 1
 
@@ -96,7 +76,6 @@ class PyramidPooling(Module):
         levels = [r]
         for i, (k, s, p) in enumerate(POOL_SCALES):
             if self._degenerate(k, s, p, h, w):
-                _notice(k, h, w)
                 pooled = E.global_avg_pool(x)
             else:
                 pooled = E.avg_pool(x, k, s, p)

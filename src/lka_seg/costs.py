@@ -42,11 +42,10 @@ class LayerCost:
 
 @dataclass
 class CostReport:
-    """Per-layer cost records plus totals and named receptive fields."""
+    """Per-layer cost records plus their totals."""
 
     input_shape: tuple
     layers: list = field(default_factory=list)
-    rf_table: dict = field(default_factory=dict)
 
     @property
     def total_flops(self):

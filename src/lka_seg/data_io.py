@@ -27,6 +27,10 @@ import numpy as np
 CHECKPOINT_MAGIC = b"LKAS"
 CHECKPOINT_VERSION = 1
 
+# a scene paints 2 * density rectangles and circles and density strips;
+# 64 paints a 256x256 scene in tens of milliseconds
+MAX_DENSITY = 64
+
 # 16 visually distinct base colors (background first)
 PALETTE = np.array([
     [0.12, 0.12, 0.12],
@@ -88,8 +92,9 @@ class SynthSpec:
                 f"height/width must be >= 64 and divisible by 64, got "
                 f"{self.height}x{self.width}"
             )
-        if not (math.isfinite(self.density) and self.density > 0):
-            raise ValueError(f"density must be finite and positive, got {self.density}")
+        if not (math.isfinite(self.density) and 0 < self.density <= MAX_DENSITY):
+            raise ValueError(f"density must be finite and in (0, {MAX_DENSITY}], "
+                             f"got {self.density}")
         if self.min_shape < 4:
             raise ValueError(f"min_shape must be >= 4, got {self.min_shape}")
         # the smallest circle radius, min_shape // 2, may not pass the largest
@@ -379,7 +384,8 @@ def load_checkpoint(path):
 
     Entries must have unique names and tile the payload exactly, each
     starting where the previous one ends, as `save_checkpoint` writes
-    them; anything else raises `CheckpointManifestError`.
+    them; anything else raises `CheckpointManifestError`. A payload holding
+    NaN or Inf raises `CheckpointError` naming the first such entry.
     """
     with open(path, "rb") as fh:
         raw = fh.read()
@@ -440,6 +446,12 @@ def load_checkpoint(path):
     if 8 * end != payload_len:
         raise CheckpointManifestError(
             f"{path}: entries cover {8 * end} of {payload_len} payload bytes")
+    finite = np.isfinite(np.frombuffer(payload, dtype="<f8"))
+    if not finite.all():
+        first = int(finite.argmin())
+        name = next(name for name, shape, _, offset in entries
+                    if first < offset + math.prod(shape))
+        raise CheckpointError(f"{path}: entry {name!r} holds a non-finite value")
     return out
 
 
@@ -457,7 +469,11 @@ def load_into_model(model, path):
     for name, arr, trainable in _model_entries(model):
         if name not in entries:
             raise CheckpointManifestError(f"checkpoint is missing entry {name!r}")
-        value, _ = entries[name]
+        value, stored_trainable = entries[name]
+        if stored_trainable != trainable:
+            kind = "parameter" if trainable else "buffer"
+            raise CheckpointManifestError(
+                f"trainable flag mismatch for {name!r}: the model's entry is a {kind}")
         if value.shape != arr.shape:
             raise CheckpointManifestError(
                 f"shape mismatch for {name!r}: checkpoint {value.shape}, "

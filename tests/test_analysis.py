@@ -9,6 +9,7 @@ from lka_seg.analysis import (
     count_params,
     receptive_field,
     receptive_field_2d,
+    rf_table,
 )
 from lka_seg.blocks import (
     ConvFeedForward,
@@ -167,7 +168,7 @@ class TestStaticEqualsRuntime:
 
 def test_model_rf_table_lists_large_path():
     model = build_model(preset_config("toy", class_count=5), seed=0)
-    report = count_flops(model, (1, 3, 64, 64))
-    assert report.rf_table["lka_large"] == (35, 35)
-    assert report.rf_table["context_gate"] == (35, 35)
-    assert report.rf_table["lka_small"] == (5, 5)
+    table = rf_table(model)
+    assert table["lka_large"] == (35, 35)
+    assert table["context_gate"] == (35, 35)
+    assert table["lka_small"] == (5, 5)

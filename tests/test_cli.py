@@ -117,6 +117,7 @@ class TestSynthData:
         (("--height", "0"), "height"),
         (("--width", "-64"), "width"),
         (("--min-shape", "40"), "min_shape"),
+        (("--density", "1e6"), "density"),
     ])
     def test_unpaintable_spec_exits_2_naming_field(self, tmp_path, capsys,
                                                    flags, field):
@@ -445,6 +446,19 @@ class TestEvalInfer:
         assert re.search(r"error: non-finite model output, traced to \w+ at "
                          r"[\w.]+, the first op", capsys.readouterr().err)
 
+    def test_non_finite_checkpoint_exits_4_naming_entry(self, trained, tmp_path,
+                                                        capsys):
+        data, cfg, ckpt = trained
+        model = build_model(ModelConfig(**TINY_CONFIG["model"]))
+        load_into_model(model, ckpt)
+        model.low_stage1[0].body[0].weight.data[0, 0, 0, 0] = np.nan
+        bad = str(tmp_path / "nan.ckpt")
+        save_checkpoint(model, bad)
+        rc = main(["eval", "--config", cfg, "--ckpt", bad, "--data", data])
+        assert rc == 4
+        assert ("entry 'low_stage1.0.body.0.weight' holds a non-finite value"
+                in capsys.readouterr().err)
+
     def test_threaded_eval_overflow_stderr_is_the_message_alone(self, trained,
                                                                tmp_path):
         # numpy's overflow warnings would print before the message
@@ -502,6 +516,15 @@ class TestAnalysisCommands:
         with E.no_grad(), E.flop_meter() as meter:
             model(x, "eval")
         assert total == meter.total
+
+    @pytest.mark.parametrize("fmt", [(), ("--format", "csv")])
+    def test_flops_rows_are_layers_then_totals(self, tmp_path, capsys, fmt):
+        # receptive fields are `rf`'s report alone
+        cfg = write_config(tmp_path, TOY_CONFIG)
+        assert main(["flops", "--config", cfg, *fmt]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[-2].startswith("total") and lines[-1].startswith("total_flops ")
+        assert not any("rf" in ln.split(",")[0] or "receptive" in ln for ln in lines)
 
     @pytest.mark.parametrize("size", ["0", "-64", "96"])
     def test_flops_size_not_positive_multiple_of_64_exits_2(self, tmp_path,

@@ -30,7 +30,7 @@ from lka_seg.data_io import (
     write_ppm,
 )
 from lka_seg.model import ModelConfig, build_model
-from lka_seg.training import boundary_from_labels
+from lka_seg.training import boundary_target_at_scale
 from helpers import set_first_offset
 
 
@@ -67,6 +67,10 @@ class TestSynthDataset:
             SynthSpec(height=60).validate()
         with pytest.raises(ValueError, match="count"):
             SynthSpec(count=0).validate()
+        SynthSpec(count=1, density=64).validate()
+        for density in (64.5, 1e6):
+            with pytest.raises(ValueError, match=r"density must be finite and in \(0, 64\]"):
+                SynthSpec(count=1, density=density).validate()
 
     @pytest.mark.parametrize("height,width", [(64, 64), (128, 64), (256, 64),
                                               (64, 192), (192, 128)])
@@ -108,39 +112,31 @@ class TestSynthDataset:
 
 
 class TestBoundaryMask:
+    # at factor 1 each pixel is its own tile
+    @staticmethod
+    def mask(labels):
+        return boundary_target_at_scale(labels[None], 1)[0, 0]
+
     def test_uniform_labels_no_boundary(self):
-        assert boundary_from_labels(np.zeros((8, 8), int), 2).sum() == 0
+        assert self.mask(np.zeros((8, 8), int)).sum() == 0
 
     def test_vertical_split_radius_one(self):
         labels = np.zeros((6, 8), int)
         labels[:, 4:] = 1
-        mask = boundary_from_labels(labels, 1)
-        expected = np.zeros((6, 8), np.uint8)
+        expected = np.zeros((6, 8))
         expected[:, 3:5] = 1
-        np.testing.assert_array_equal(mask, expected)
+        np.testing.assert_array_equal(self.mask(labels), expected)
 
     def test_relabeling_invariance(self):
         rng = np.random.default_rng(4)
         labels = rng.integers(0, 4, size=(16, 16))
         perm = np.array([2, 0, 3, 1])
-        np.testing.assert_array_equal(boundary_from_labels(labels, 2),
-                                      boundary_from_labels(perm[labels], 2))
+        np.testing.assert_array_equal(self.mask(labels), self.mask(perm[labels]))
 
     def test_transpose_symmetry(self):
         rng = np.random.default_rng(5)
         labels = rng.integers(0, 3, size=(12, 9))
-        np.testing.assert_array_equal(boundary_from_labels(labels, 2).T,
-                                      boundary_from_labels(labels.T, 2))
-
-    def test_radius_validation(self):
-        with pytest.raises(ValueError):
-            boundary_from_labels(np.zeros((4, 4), int), 0)
-
-    def test_ignore_index_not_boundary(self):
-        labels = np.zeros((4, 4), int)
-        labels[:, 2:] = 9
-        mask = boundary_from_labels(labels, 1, ignore_index=9)
-        assert mask.sum() == 0
+        np.testing.assert_array_equal(self.mask(labels).T, self.mask(labels.T))
 
 
 class TestNetpbm:
@@ -339,6 +335,28 @@ class TestCheckpoint:
         path.write_bytes(bytes(blob))
         with pytest.raises(CheckpointManifestError, match="not UTF-8"):
             load_checkpoint(path)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_entry_rejected_by_name(self, tmp_path, bad):
+        b = np.arange(6.0)
+        b[4] = bad
+        path = self._stub(tmp_path, [("a", np.ones(3)), ("b", b), ("c", np.ones(2))])
+        with pytest.raises(CheckpointError, match="entry 'b' holds a non-finite value"):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("saved_as, loaded_as", [("parameter", "buffer"),
+                                                     ("buffer", "parameter")])
+    def test_trainable_flag_must_match(self, tmp_path, saved_as, loaded_as):
+        def stub(kind):
+            param = [("w", SimpleNamespace(data=np.ones(2)))] if kind == "parameter" else []
+            buf = [("w", np.ones(2))] if kind == "buffer" else []
+            return SimpleNamespace(named_parameters=lambda: param,
+                                   named_buffers=lambda: buf)
+        path = tmp_path / "w.ckpt"
+        save_checkpoint(stub(saved_as), path)
+        with pytest.raises(CheckpointManifestError,
+                           match=f"trainable flag mismatch for 'w'.*a {loaded_as}"):
+            load_into_model(stub(loaded_as), path)
 
     def test_truncated_header(self, tmp_path):
         path = tmp_path / "m.ckpt"

@@ -1,6 +1,7 @@
 """Losses, schedule, optimizer, metrics, and loop behavior."""
 
 import dataclasses
+import hashlib
 import math
 import os
 import threading
@@ -461,6 +462,21 @@ class TestBoundaryTarget:
     def test_not_divisible_rejected(self):
         with pytest.raises(ValueError, match="not divisible by 8"):
             boundary_target_at_scale(np.zeros((1, 12, 16), np.int64), 8)
+
+    @pytest.mark.parametrize("size, batch, digest", [
+        (64, 4, "686333079771017f0c863b0313c891233e0480ad8c9ce7d82fe24c2dcae5ca12"),
+        (256, 8, "9d2e402fb4c328a0d13a9b05eda58a0ccd85a49f4b6ba1b9851f9ab2b144739d"),
+    ])
+    def test_acceptance_scenes_keep_their_target_bytes(self, size, batch, digest):
+        # criterion 7's scenes: these targets train the acceptance models,
+        # so a rewrite of the target must keep every byte
+        spec = SynthSpec(seed=7, count=80, height=size, width=size, class_count=5,
+                         density=0.5, min_shape=28)
+        labels = np.stack([s.labels for s in synth_dataset(spec)]).astype(np.int64)
+        h = hashlib.sha256()
+        for i in range(0, len(labels), batch):
+            h.update(boundary_target_at_scale(labels[i:i + batch], 8).tobytes())
+        assert h.hexdigest() == digest
 
 
 class TestCheckpointWrites:
