@@ -4,8 +4,9 @@ Commands: synth-data, train, eval, infer, flops, params, rf.
 Configuration is a flat JSON document (versioned with a "version" key,
 unknown keys rejected); command-line flags override file values. Exit
 codes: 0 success, 2 configuration/validation error, 3 numerical abort,
-4 I/O failure. Commands run with numpy's floating-point warnings off: a
-non-finite value is reported once, by the check that finds it.
+4 I/O failure or a malformed image or checkpoint file. Commands run with
+numpy's floating-point warnings off: a non-finite value is reported once,
+by the check that finds it.
 """
 
 from __future__ import annotations
@@ -309,7 +310,7 @@ def main(argv=None):
     except NumericalAbort as err:
         print(f"numerical abort: {err}", file=sys.stderr)
         return EXIT_NUMERIC
-    except (OSError, data_io.CheckpointError) as err:
+    except (OSError, data_io.FileFormatError) as err:
         print(f"io error: {err}", file=sys.stderr)
         return EXIT_IO
     except ValueError as err:

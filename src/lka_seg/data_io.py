@@ -52,7 +52,11 @@ PALETTE = np.array([
 ])
 
 
-class CheckpointError(ValueError):
+class FileFormatError(ValueError):
+    """A file's bytes do not parse (a malformed image or checkpoint)."""
+
+
+class CheckpointError(FileFormatError):
     """Malformed checkpoint container."""
 
 
@@ -189,20 +193,22 @@ def _atomic_write(path, payload):
 
 
 def _parse_netpbm(raw, magic, path):
+    """(width, height, flat bytes) of a binary Netpbm file's `raw` bytes;
+    bytes that do not parse raise `FileFormatError` naming `path`."""
     if raw[:2] != magic:
-        raise ValueError(f"{path}: bad magic {raw[:2]!r}, expected {magic!r}")
+        raise FileFormatError(f"{path}: bad magic {raw[:2]!r}, expected {magic!r}")
     pos = 2
     fields = []
     while len(fields) < 3:
         if pos >= len(raw):
-            raise ValueError(f"{path}: truncated header")
+            raise FileFormatError(f"{path}: truncated header")
         ch = raw[pos:pos + 1]
         if ch.isspace():
             pos += 1
         elif ch == b"#":
             nl = raw.find(b"\n", pos)
             if nl < 0:
-                raise ValueError(f"{path}: unterminated comment")
+                raise FileFormatError(f"{path}: unterminated comment")
             pos = nl + 1
         elif ch.isdigit():
             end = pos
@@ -211,24 +217,24 @@ def _parse_netpbm(raw, magic, path):
             fields.append(int(raw[pos:end]))
             pos = end
         else:
-            raise ValueError(f"{path}: unexpected header byte {ch!r}")
+            raise FileFormatError(f"{path}: unexpected header byte {ch!r}")
     if pos >= len(raw) or not raw[pos:pos + 1].isspace():
-        raise ValueError(f"{path}: missing whitespace after maxval")
+        raise FileFormatError(f"{path}: missing whitespace after maxval")
     pos += 1
     width, height, maxval = fields
     if maxval != 255:
-        raise ValueError(f"{path}: only maxval 255 is supported, got {maxval}")
+        raise FileFormatError(f"{path}: only maxval 255 is supported, got {maxval}")
     if width < 1 or height < 1:
-        raise ValueError(f"{path}: bad dimensions {width}x{height}")
+        raise FileFormatError(f"{path}: bad dimensions {width}x{height}")
     depth = 3 if magic == b"P6" else 1
     expect = width * height * depth
     payload = raw[pos:]
     if len(payload) < expect:
-        raise ValueError(
+        raise FileFormatError(
             f"{path}: truncated payload ({len(payload)} of {expect} bytes)"
         )
     if len(payload) > expect:
-        raise ValueError(f"{path}: {len(payload) - expect} trailing bytes")
+        raise FileFormatError(f"{path}: {len(payload) - expect} trailing bytes")
     return width, height, np.frombuffer(payload, dtype=np.uint8)
 
 

@@ -52,9 +52,11 @@ Conventions fixed here and relied on everywhere else:
   * the selector softmax subtracts the (detached) max over its branch
     axis before exp.
 
-A process-wide FLOP meter can be armed with `flop_meter()`; while armed,
-every primitive adds its cost using the conventions documented in
-`lka_seg.costs` (the static model mirrors the same table independently).
+A FLOP meter can be armed in a thread with `flop_meter()`. Every op
+hands its nominal FLOPs, by the conventions documented in
+`lka_seg.costs`, to `_record` with its output, and `_record` adds them to
+the armed meter (the static model mirrors the same table independently).
+`_record` is also where armed `op_checks` see each op.
 """
 
 from __future__ import annotations
@@ -109,42 +111,31 @@ _state = _State()
 
 
 @contextmanager
+def _armed(slot, value):
+    """Set `_state.<slot>` to `value` for the block, then restore it."""
+    prev = getattr(_state, slot)
+    setattr(_state, slot, value)
+    try:
+        yield value
+    finally:
+        setattr(_state, slot, prev)
+
+
 def no_grad():
     """Disable tape recording inside the block (inference / oracles)."""
-    prev = _state.grad_enabled
-    _state.grad_enabled = False
-    try:
-        yield
-    finally:
-        _state.grad_enabled = prev
+    return _armed("grad_enabled", False)
 
 
 class FlopMeter:
-    """Accumulates the runtime FLOP count of every primitive executed."""
+    """Runtime FLOPs of the ops run while armed; `_record` adds to `total`."""
 
     def __init__(self):
         self.total = 0
 
-    def add(self, n):
-        self.total += int(n)
 
-
-@contextmanager
 def flop_meter():
     """Arm a runtime FLOP counter; yields the meter."""
-    prev = _state.meter
-    meter = FlopMeter()
-    _state.meter = meter
-    try:
-        yield meter
-    finally:
-        _state.meter = prev
-
-
-def _count(n):
-    m = _state.meter
-    if m is not None:
-        m.add(n)
+    return _armed("meter", FlopMeter())
 
 
 def _pair(v, name, low=1):
@@ -253,7 +244,7 @@ class Parameter(Tensor):
 def _as_tensor(v):
     if isinstance(v, Tensor):
         return v
-    return Tensor(np.asarray(v, dtype=np.float64))
+    return Tensor(v)
 
 
 def _acc(t, g):
@@ -294,7 +285,6 @@ class _OpChecks:
         return checked
 
 
-@contextmanager
 def op_checks(names):
     """Arm per-op finiteness checks in this thread for the block.
 
@@ -304,15 +294,15 @@ def op_checks(names):
     computation that failed a boundary check (`nn.locate_nonfinite`).
     Not in `__all__`: perfbench's tracer would wrap it as an op.
     """
-    prev = _state.checks
-    _state.checks = _OpChecks(names)
-    try:
-        yield
-    finally:
-        _state.checks = prev
+    return _armed("checks", _OpChecks(names))
 
 
-def _record(data, parents, bwd):
+def _record(data, parents, bwd, flops=0):
+    """The op output `data` as a tape tensor. Charges `flops`, the op's
+    nominal cost, to an armed meter before armed checks scan `data`."""
+    meter = _state.meter
+    if meter is not None:
+        meter.total += flops
     checks = _state.checks
     if checks is not None:
         bwd = checks.watch(data, parents, bwd)
@@ -325,7 +315,8 @@ def _record(data, parents, bwd):
 
 
 def custom_op(data, parents, bwd):
-    """Record a hand-written op (fused losses live outside this module)."""
+    """Record a hand-written op (fused losses live outside this module);
+    it charges no FLOPs."""
     return _record(data, parents, bwd)
 
 
@@ -347,7 +338,6 @@ def _unbroadcast(g, shape):
 def add(a, b):
     a, b = _as_tensor(a), _as_tensor(b)
     out = a.data + b.data
-    _count(out.size)
 
     def bwd(g):
         if a.requires_grad:
@@ -355,13 +345,12 @@ def add(a, b):
         if b.requires_grad:
             _acc(b, _unbroadcast(g, b.data.shape))
 
-    return _record(out, (a, b), bwd)
+    return _record(out, (a, b), bwd, out.size)
 
 
 def sub(a, b):
     a, b = _as_tensor(a), _as_tensor(b)
     out = a.data - b.data
-    _count(out.size)
 
     def bwd(g):
         if a.requires_grad:
@@ -369,13 +358,12 @@ def sub(a, b):
         if b.requires_grad:
             _acc(b, _unbroadcast(-g, b.data.shape))
 
-    return _record(out, (a, b), bwd)
+    return _record(out, (a, b), bwd, out.size)
 
 
 def mul(a, b):
     a, b = _as_tensor(a), _as_tensor(b)
     out = a.data * b.data
-    _count(out.size)
 
     def bwd(g):
         if a.requires_grad:
@@ -383,7 +371,7 @@ def mul(a, b):
         if b.requires_grad:
             _acc(b, _unbroadcast(g * a.data, b.data.shape))
 
-    return _record(out, (a, b), bwd)
+    return _record(out, (a, b), bwd, out.size)
 
 
 def concat(tensors, axis=1):
@@ -405,27 +393,25 @@ def channel_mean(x):
     """Mean over the channel axis, keepdims: (n, 1, h, w)."""
     x = _as_tensor(x)
     out = x.data.mean(axis=1, keepdims=True)
-    _count(x.data.size)
     c = x.data.shape[1]
 
     def bwd(g):
         _acc(x, np.broadcast_to(g / c, x.data.shape).copy())
 
-    return _record(out, (x,), bwd)
+    return _record(out, (x,), bwd, x.data.size)
 
 
 def channel_max(x):
     """Max over the channel axis, keepdims; gradient routes to the argmax."""
     x = _as_tensor(x)
     out = x.data.max(axis=1, keepdims=True)
-    _count(x.data.size)
 
     def bwd(g):
         mask = x.data == out  # ties share the incoming gradient
         counts = mask.sum(axis=1, keepdims=True)
         _acc(x, mask * (g / counts))
 
-    return _record(out, (x,), bwd)
+    return _record(out, (x,), bwd, x.data.size)
 
 
 # ---------------------------------------------------------------------------
@@ -436,12 +422,11 @@ def channel_max(x):
 def relu(x):
     x = _as_tensor(x)
     out = np.maximum(x.data, 0.0)
-    _count(out.size)
 
     def bwd(g):
         _acc(x, g * (x.data > 0))
 
-    return _record(out, (x,), bwd)
+    return _record(out, (x,), bwd, out.size)
 
 
 def gelu(x):
@@ -449,24 +434,22 @@ def gelu(x):
     x = _as_tensor(x)
     phi = 0.5 * (1.0 + erf(x.data * _INV_SQRT2))
     out = x.data * phi
-    _count(out.size)
 
     def bwd(g):
         pdf = _INV_SQRT2PI * np.exp(-0.5 * x.data * x.data)
         _acc(x, g * (phi + x.data * pdf))
 
-    return _record(out, (x,), bwd)
+    return _record(out, (x,), bwd, out.size)
 
 
 def sigmoid(x):
     x = _as_tensor(x)
     s = expit(x.data)
-    _count(s.size)
 
     def bwd(g):
         _acc(x, g * s * (1.0 - s))
 
-    return _record(s, (x,), bwd)
+    return _record(s, (x,), bwd, s.size)
 
 
 def _select_weights(s, cvec):
@@ -507,7 +490,7 @@ def select_mix(s, cvec, branches):
     for i in range(1, k):
         out = out + wts[:, i] * bs[i].data
     # joint logits 1 and softmax 4 per logit; k muls and k - 1 adds per output
-    _count(5 * wts.size + (2 * k - 1) * out.size)
+    flops = 5 * wts.size + (2 * k - 1) * out.size
 
     def bwd(g):
         for i, b in enumerate(bs):
@@ -524,7 +507,7 @@ def select_mix(s, cvec, branches):
                 _acc(cvec, (gl * s.data[:, :, None]).sum(axis=(3, 4)).reshape(
                     cvec.data.shape))
 
-    return _record(out, (s, cvec, *bs), bwd)
+    return _record(out, (s, cvec, *bs), bwd, flops)
 
 
 # ---------------------------------------------------------------------------
@@ -699,10 +682,10 @@ def conv2d(x, w, b=None, stride=1, padding=0, dilation=1, groups=1):
                 0, 1, 4, 5, 2, 3).reshape(n, g, cg * kh * kw, oh * ow)
         out = np.matmul(w.data.reshape(g, cout // g, -1), cols).reshape(
             n, cout, oh, ow)
-    _count(2 * kh * kw * (cin // g) * cout * oh * ow * n)
+    flops = 2 * kh * kw * (cin // g) * cout * oh * ow * n
     if b is not None:
         out = out + b.data[None, :, None, None]
-        _count(cout * oh * ow * n)
+        flops += cout * oh * ow * n
 
     parents = (x, w) if b is None else (x, w, b)
 
@@ -734,7 +717,7 @@ def conv2d(x, w, b=None, stride=1, padding=0, dilation=1, groups=1):
             _acc(x, _scatter_taps(xp, lambda i, j: taps[:, :, i, j],
                                   kernel, stride, dilation, padding))
 
-    return _record(out, parents, bwd)
+    return _record(out, parents, bwd, flops)
 
 
 def avg_pool(x, kernel, stride=None, padding=0):
@@ -762,13 +745,12 @@ def avg_pool(x, kernel, stride=None, padding=0):
     if (counts == 0).any():
         raise ValueError("pool window without any valid cell (padding too large)")
     out = sums / counts
-    _count(kh * kw * out.size)
 
     def bwd(g):
         gn = g / counts
         _acc(x, _scatter_taps(xp, lambda i, j: gn, kernel, stride, (1, 1), padding))
 
-    return _record(out, (x,), bwd)
+    return _record(out, (x,), bwd, kh * kw * out.size)
 
 
 def global_avg_pool(x):
@@ -777,12 +759,11 @@ def global_avg_pool(x):
     _check_4d(x, "pool input")
     n, c, h, w = x.data.shape
     out = x.data.mean(axis=(2, 3), keepdims=True)
-    _count(x.data.size)
 
     def bwd(g):
         _acc(x, np.broadcast_to(g / (h * w), x.data.shape).copy())
 
-    return _record(out, (x,), bwd)
+    return _record(out, (x,), bwd, x.data.size)
 
 
 def batch_norm(x, gamma, beta, running_mean, running_var, mode, momentum=0.1, eps=1e-5):
@@ -818,7 +799,6 @@ def batch_norm(x, gamma, beta, running_mean, running_var, mode, momentum=0.1, ep
     inv = 1.0 / np.sqrt(var + eps)
     xhat = (x.data - mean[None, :, None, None]) * inv[None, :, None, None]
     out = gamma.data[None, :, None, None] * xhat + beta.data[None, :, None, None]
-    _count(2 * out.size)
 
     m = n * h * w
 
@@ -837,7 +817,7 @@ def batch_norm(x, gamma, beta, running_mean, running_var, mode, momentum=0.1, ep
                 gx = gxhat * inv[None, :, None, None]
             _acc(x, gx)
 
-    return _record(out, (x, gamma, beta), bwd)
+    return _record(out, (x, gamma, beta), bwd, 2 * out.size)
 
 
 # ---------------------------------------------------------------------------
@@ -880,10 +860,9 @@ def bilinear_resize(x, out_h, out_w):
     ah = _resize_matrix(h, out_h)
     aw = _resize_matrix(w, out_w)
     out = np.matmul(np.matmul(ah, x.data), aw.T)
-    _count(8 * out.size)
 
     def bwd(g):
         t = np.einsum("pw,ncop->ncow", aw, g, optimize=True)
         _acc(x, np.einsum("oh,ncow->nchw", ah, t, optimize=True))
 
-    return _record(out, (x,), bwd)
+    return _record(out, (x,), bwd, 8 * out.size)

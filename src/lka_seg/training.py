@@ -336,6 +336,14 @@ def _first_nonfinite(model):
     return None
 
 
+def _numerical_abort(model, where, err, culprit=None):
+    """`NumericalAbort` for `err`, found `where`, naming `culprit` or else
+    the model's first non-finite parameter or gradient, if any."""
+    culprit = culprit or _first_nonfinite(model)
+    return NumericalAbort(f"non-finite value {where}: {err}"
+                          + (f"; first non-finite {culprit}" if culprit else ""))
+
+
 def _train_step(model, images, labels):
     """Forward, loss and, when the loss is finite, backward of one batch.
 
@@ -450,11 +458,8 @@ def train_model(model, train_data, val_data, cfg: TrainConfig, out_dir=None,
                             model, lambda: _train_step(model, images, labels),
                             "gradient" if culprit else "loss")
                 except E.NonFiniteError as err:
-                    culprit = culprit or _first_nonfinite(model)
-                    raise NumericalAbort(
-                        f"non-finite value at iteration {it}: {err}"
-                        + (f"; first non-finite {culprit}" if culprit else "")
-                    ) from err
+                    raise _numerical_abort(model, f"at iteration {it}", err,
+                                           culprit) from err
                 opt.step(lr)
                 opt.zero_grad()
                 epoch_loss += loss_val
@@ -465,11 +470,8 @@ def train_model(model, train_data, val_data, cfg: TrainConfig, out_dir=None,
             except E.NonFiniteError as err:
                 # the last step's update can overflow the weights without
                 # making its own loss or gradients non-finite
-                culprit = _first_nonfinite(model)
-                raise NumericalAbort(
-                    f"non-finite value in the validation after epoch {epoch}: {err}"
-                    + (f"; first non-finite {culprit}" if culprit else "")
-                ) from err
+                raise _numerical_abort(
+                    model, f"in the validation after epoch {epoch}", err) from err
             row = {"epoch": epoch, "loss": epoch_loss / steps, "miou": val_miou,
                    "lr": lr}
             history.append(row)

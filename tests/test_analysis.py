@@ -157,6 +157,20 @@ class TestStaticEqualsRuntime:
         report = count_flops(model, (1, 3, 64, 64))
         assert report.total_flops == meter.total
 
+    def test_armed_checks_leave_the_total_unchanged(self):
+        # the tracer arms a meter for a whole run, and a non-finite forward
+        # inside it arms checks; checks can also wrap a meter
+        model = build_model(preset_config("toy", class_count=5), seed=0)
+        x = E.Tensor(np.random.default_rng(3).uniform(size=(1, 3, 64, 64)))
+        with E.no_grad(), E.flop_meter() as bare:
+            model(x, "eval")
+        with E.no_grad(), E.flop_meter() as outside, E.op_checks({}):
+            model(x, "eval")
+        with E.no_grad(), E.op_checks({}), E.flop_meter() as inside:
+            model(x, "eval")
+        assert type(bare.total) is int
+        assert outside.total == inside.total == bare.total > 0
+
     def test_additivity_over_composition(self, rng):
         a = Conv2d(3, 5, 3, rng, padding=1)
         b = Conv2d(5, 2, 1, rng)

@@ -1,5 +1,7 @@
 """Finite-difference checks for every primitive and the tape contract."""
 
+from contextlib import ExitStack
+
 import numpy as np
 import pytest
 
@@ -176,6 +178,36 @@ def test_armed_checks_name_the_first_faulty_op():
         with pytest.raises(E.NonFiniteError,
                            match="^mul outside any module, the first op"):
             E.relu(E.mul(big, big))
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered")
+@pytest.mark.parametrize("meter_outside", [True, False])
+def test_armed_checks_name_the_faulty_op_under_a_meter(meter_outside):
+    big = E.Tensor(np.full((1, 1, 2, 2), 1e200))
+    with ExitStack() as armed:
+        if meter_outside:
+            meter = armed.enter_context(E.flop_meter())
+        armed.enter_context(E.op_checks({}))
+        if not meter_outside:
+            meter = armed.enter_context(E.flop_meter())
+        with pytest.raises(E.NonFiniteError,
+                           match="^mul outside any module, the first op"):
+            E.relu(E.mul(big, big))
+    assert meter.total == 4   # the mul is charged before its output is scanned
+
+
+@pytest.mark.parametrize("arm, slot", [
+    (E.no_grad, "grad_enabled"),
+    (E.flop_meter, "meter"),
+    (lambda: E.op_checks({}), "checks"),
+])
+def test_arming_restores_the_previous_state_when_the_block_raises(arm, slot):
+    before = getattr(E._state, slot)
+    with pytest.raises(KeyError):
+        with arm():
+            assert getattr(E._state, slot) is not before
+            raise KeyError("escapes the block")
+    assert getattr(E._state, slot) is before
 
 
 @pytest.mark.filterwarnings("ignore:overflow encountered")

@@ -5,6 +5,7 @@ import os
 import re
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -195,6 +196,16 @@ class TestTrain:
                    "--out", str(tmp_path / "run"), "--val-count", "2"])
         assert rc == 2
         assert "outside [0, 3)" in capsys.readouterr().err
+
+    def test_truncated_image_exits_4_naming_file(self, tmp_path, capsys):
+        data = synth(tmp_path, count=8, classes=3)
+        image = os.path.join(data, "img_00000.ppm")
+        os.truncate(image, os.path.getsize(image) // 2)
+        cfg = write_config(tmp_path, TINY_CONFIG)
+        rc = main(["train", "--config", cfg, "--data", data,
+                   "--out", str(tmp_path / "run"), "--val-count", "2"])
+        assert rc == 4
+        assert f"io error: {image}: truncated payload" in capsys.readouterr().err
 
     def test_checkpoint_write_failure_exits_4(self, tmp_path, capsys):
         data = synth(tmp_path, count=8, classes=3)
@@ -411,6 +422,19 @@ class TestEvalInfer:
         from lka_seg.data_io import read_ppm
         assert read_ppm(dest).shape == (3, 64, 64)
 
+    def test_infer_bad_image_magic_exits_4_naming_file(self, trained, tmp_path,
+                                                       capsys):
+        data, cfg, ckpt = trained
+        image = tmp_path / "bad.ppm"
+        image.write_bytes(b"P5" + (Path(data) / "img_00000.ppm").read_bytes()[2:])
+        dest = tmp_path / "seg.ppm"
+        rc = main(["infer", "--config", cfg, "--ckpt", ckpt, "--image", str(image),
+                   "--out", str(dest)])
+        assert rc == 4
+        assert (f"io error: {image}: bad magic b'P5', expected b'P6'"
+                in capsys.readouterr().err)
+        assert not dest.exists()
+
     def test_corrupt_checkpoint_exits_4(self, trained, tmp_path, capsys):
         data, cfg, ckpt = trained
         blob = bytearray(open(ckpt, "rb").read())
@@ -459,8 +483,7 @@ class TestEvalInfer:
         assert ("entry 'low_stage1.0.body.0.weight' holds a non-finite value"
                 in capsys.readouterr().err)
 
-    def test_threaded_eval_overflow_stderr_is_the_message_alone(self, trained,
-                                                               tmp_path):
+    def test_eval_overflow_stderr_is_the_message_alone(self, trained, tmp_path):
         # numpy's overflow warnings would print before the message
         data, cfg, ckpt = trained
         model = build_model(ModelConfig(**TINY_CONFIG["model"]))
