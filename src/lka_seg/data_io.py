@@ -335,15 +335,31 @@ def load_dataset(data_dir):
     otherwise a `ValueError` names the file and the key. Its other keys
     (the spec fields `write_dataset` records, and any key an older writer
     added) are informational and returned as read.
+
+    Every image must have the first image's size, and every label map its
+    image's size; otherwise a `ValueError` names the file and both sizes.
     """
     manifest = read_manifest(data_dir)
     count = _manifest_int(manifest, data_dir, "count")
     samples = []
     for i in range(count):
-        image = read_ppm(os.path.join(data_dir, f"img_{i:05d}.ppm"))
-        labels = read_pgm(os.path.join(data_dir, f"lbl_{i:05d}.pgm")).astype(np.int32)
+        image_path = os.path.join(data_dir, f"img_{i:05d}.ppm")
+        label_path = os.path.join(data_dir, f"lbl_{i:05d}.pgm")
+        image = read_ppm(image_path)
+        labels = read_pgm(label_path).astype(np.int32)
+        size = image.shape[1:]
+        if samples and size != samples[0].image.shape[1:]:
+            raise ValueError(f"{image_path}: image is {_hw(size)}, but "
+                             f"{_hw(samples[0].image.shape[1:])} in img_00000.ppm")
+        if labels.shape != size:
+            raise ValueError(f"{label_path}: label map is {_hw(labels.shape)}, "
+                             f"but its image is {_hw(size)}")
         samples.append(SegBatch(image=image, labels=labels))
     return samples, manifest
+
+
+def _hw(shape):
+    return f"{shape[0]}x{shape[1]}"
 
 
 # ---------------------------------------------------------------------------

@@ -785,22 +785,26 @@ def batch_norm(x, gamma, beta, running_mean, running_var, mode, momentum=0.1, ep
     if mode not in ("train", "eval"):
         raise ValueError(f"mode must be 'train' or 'eval', got {mode!r}")
 
+    m = n * h * w
+    mean = x.data.mean(axis=(0, 2, 3)) if mode == "train" else running_mean
+    # x - mean, scaled in place into xhat below. `x.var` sums the same
+    # squares over the same axes, so train-mode var is byte-equal to it.
+    xhat = x.data - mean[None, :, None, None]
     if mode == "train":
-        mean = x.data.mean(axis=(0, 2, 3))
-        var = x.data.var(axis=(0, 2, 3))
+        out = np.multiply(xhat, xhat)
+        var = out.sum(axis=(0, 2, 3)) / m
         running_mean *= 1.0 - momentum
         running_mean += momentum * mean
         running_var *= 1.0 - momentum
         running_var += momentum * var
     else:
-        mean = running_mean
+        out = np.empty_like(xhat)
         var = running_var
 
     inv = 1.0 / np.sqrt(var + eps)
-    xhat = (x.data - mean[None, :, None, None]) * inv[None, :, None, None]
-    out = gamma.data[None, :, None, None] * xhat + beta.data[None, :, None, None]
-
-    m = n * h * w
+    xhat *= inv[None, :, None, None]
+    np.multiply(xhat, gamma.data[None, :, None, None], out=out)
+    out += beta.data[None, :, None, None]
 
     def bwd(g):
         if beta.requires_grad:

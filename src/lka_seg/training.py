@@ -12,7 +12,8 @@ edge map built from the labels at the head's 1/8 scale. Total loss:
 rate and seed. The rest are module constants: SGD `MOMENTUM` and
 `WEIGHT_DECAY`, the poly schedule's `POLY_POWER`, the mining
 `OHEM_THRESHOLD` and `OHEM_MIN_KEPT_FRAC` (of the batch's pixels), the
-loss weights, `IGNORE_INDEX` and the validation batch `VAL_BATCH`. Every
+loss weights, `IGNORE_INDEX`, the validation batch `VAL_BATCH` and
+`EVAL_PIXELS`, the most pixels one evaluation forward takes in. Every
 training batch is flipped left-right per sample with probability 1/2.
 
 The loop is single-threaded and deterministic for a fixed seed: one
@@ -43,6 +44,16 @@ AUX_WEIGHT = 0.4
 BOUNDARY_WEIGHT = 1.0
 IGNORE_INDEX = 255
 VAL_BATCH = 8
+# Most pixels (images * h * w) one `evaluate` forward takes in: 2 scenes at
+# 256x256, 8 at 128x128, 32 at 64x64. An eval-mode forward treats each
+# sample on its own, so the chunking changes no bit. Larger forwards
+# overflow the cache: `evaluate` over 16 scenes on a 2-core x86_64 host,
+# OpenBLAS 0.3.31 on one thread, median ms by images per forward:
+# 256x256 b1 473.5, b2 468.2, b4 477.1, b8 561.0;
+# 128x128 b2 131.2, b4 122.2, b8 123.3, b16 136.5; 64x64 b4 42.5, b8 38.3,
+# b16 39.8. At 256x256, b8 took 60 ms of system time zero-filling fresh
+# pages (11.7k minor faults); b2 took none (500 faults).
+EVAL_PIXELS = 1 << 17
 
 __all__ = [
     "OhemConfig",
@@ -368,10 +379,18 @@ def _train_step(model, images, labels):
 
 
 def evaluate(model, dataset, class_count, batch_size=VAL_BATCH):
-    """Aggregate confusion over the dataset; returns (per_class, mean) IoU."""
+    """Aggregate confusion over the dataset; returns (per_class, mean) IoU.
+
+    Each forward takes at most `batch_size` images and, beyond one image,
+    at most `EVAL_PIXELS` pixels. The samples must share one size; the
+    result does not depend on how they are chunked.
+    """
     if batch_size < 1:
         raise ValueError(f"batch_size must be >= 1, got {batch_size}")
     cm = ConfusionMatrix(class_count)
+    if dataset:
+        h, w = dataset[0].image.shape[-2:]
+        batch_size = min(batch_size, max(1, EVAL_PIXELS // (h * w)))
     for i in range(0, len(dataset), batch_size):
         images, labels = _collate(dataset[i:i + batch_size])
         # hold no model output into the next batch's forward

@@ -3,6 +3,7 @@
 import json
 import os
 import re
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -206,6 +207,22 @@ class TestTrain:
                    "--out", str(tmp_path / "run"), "--val-count", "2"])
         assert rc == 4
         assert f"io error: {image}: truncated payload" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("name,message", [
+        ("img_00002.ppm", "image is 128x128, but 64x64 in img_00000.ppm"),
+        ("lbl_00001.pgm", "label map is 128x128, but its image is 64x64"),
+    ])
+    def test_mixed_sizes_exit_2_naming_file(self, tmp_path, capsys, name,
+                                            message):
+        data = synth(tmp_path, count=8, classes=3)
+        big = synth(tmp_path, out="big", count=8, classes=3,
+                    extra=("--height", "128", "--width", "128"))
+        shutil.copy(os.path.join(big, name), os.path.join(data, name))
+        cfg = write_config(tmp_path, TINY_CONFIG)
+        rc = main(["train", "--config", cfg, "--data", data,
+                   "--out", str(tmp_path / "run"), "--val-count", "2"])
+        assert rc == 2
+        assert f"{os.path.join(data, name)}: {message}" in capsys.readouterr().err
 
     def test_checkpoint_write_failure_exits_4(self, tmp_path, capsys):
         data = synth(tmp_path, count=8, classes=3)

@@ -89,6 +89,35 @@ class TestBatchNorm:
         ref = (x - rm[None, :, None, None]) / np.sqrt(rv + 1e-5)[None, :, None, None]
         assert rel_err(out.data, ref) < 1e-14
 
+    @pytest.mark.parametrize("shape", [
+        (1, 3, 7, 5), (2, 4, 8, 8), (4, 8, 16, 16), (1, 16, 33, 17),
+        (8, 6, 32, 32), (3, 5, 64, 48), (1, 12, 128, 96), (2, 16, 128, 128)])
+    def test_bytes_match_numpy_var_and_the_plain_expression(self, shape):
+        # pins the in-place forward to `x.var` and the out-of-place formula,
+        # so a numpy whose reductions or ufuncs round otherwise fails here
+        rng = np.random.default_rng(sum(shape))
+        c = shape[1]
+        for _ in range(3):
+            scale = 10.0 ** rng.uniform(-6, 6, size=c)[None, :, None, None]
+            x = (rng.normal(size=shape) + rng.normal(size=c)[None, :, None, None]
+                 * 5.0) * scale
+            gamma, beta = rng.normal(size=c), rng.normal(size=c)
+            mean, var = x.mean(axis=(0, 2, 3)), x.var(axis=(0, 2, 3))
+            rm, rv = np.zeros(c), np.zeros(c)
+            out = E.batch_norm(E.Tensor(x), E.Tensor(gamma), E.Tensor(beta),
+                               rm, rv, "train", momentum=1.0)
+            assert rm.tobytes() == mean.tobytes()
+            assert rv.tobytes() == var.tobytes()
+            for m, v, got in ((mean, var, out.data),
+                              (rm, rv, E.batch_norm(
+                                  E.Tensor(x), E.Tensor(gamma), E.Tensor(beta),
+                                  rm, rv, "eval").data)):
+                inv = 1.0 / np.sqrt(v + 1e-5)
+                xhat = (x - m[None, :, None, None]) * inv[None, :, None, None]
+                want = (gamma[None, :, None, None] * xhat
+                        + beta[None, :, None, None])
+                assert got.tobytes() == want.tobytes()
+
     def test_channel_mismatch(self):
         with pytest.raises(ValueError, match="channel axis"):
             E.batch_norm(E.Tensor(np.zeros((1, 3, 2, 2))), E.Tensor(np.ones(2)),

@@ -43,9 +43,9 @@ TINY_MODEL = ModelConfig(class_count=3, stem_width=4, low_width=4, mid_width=6,
                          head_width=6)
 
 
-def tiny_data(count, seed=5, k=3):
-    return synth_dataset(SynthSpec(seed=seed, count=count, class_count=k,
-                                   min_shape=16))
+def tiny_data(count, seed=5, k=3, size=64):
+    return synth_dataset(SynthSpec(seed=seed, count=count, height=size,
+                                   width=size, class_count=k, min_shape=16))
 
 
 class TestCrossEntropy:
@@ -434,6 +434,48 @@ def test_evaluate_rejects_batch_below_one(batch_size):
     model = build_model(TINY_MODEL, seed=2)
     with pytest.raises(ValueError, match="batch_size must be >= 1"):
         evaluate(model, tiny_data(2), 3, batch_size=batch_size)
+
+
+class ForwardSpy:
+    """Model stand-in that records (images, mode) of every forward."""
+
+    def __init__(self, model):
+        self.model = model
+        self.forwards = []
+
+    def __call__(self, x, mode="eval"):
+        self.forwards.append((x.data.shape[0], mode))
+        return self.model(x, mode)
+
+    def __getattr__(self, name):
+        return getattr(self.model, name)
+
+
+class TestEvaluateChunks:
+    @pytest.mark.parametrize("size,forwards", [(256, [2, 2, 2, 2]), (64, [8])])
+    def test_forwards_hold_at_most_eval_pixels(self, size, forwards):
+        spy = ForwardSpy(build_model(TINY_MODEL, seed=2))
+        evaluate(spy, tiny_data(8, size=size), 3, batch_size=8)
+        assert spy.forwards == [(n, "eval") for n in forwards]
+
+    def test_training_validation_at_64_forwards_8_at_a_time(self):
+        spy = ForwardSpy(build_model(TINY_MODEL, seed=2))
+        cfg = TrainConfig(epochs=1, batch_size=4, base_lr=0.05, seed=0)
+        train_model(spy, tiny_data(4), tiny_data(10, seed=6), cfg)
+        assert [n for n, mode in spy.forwards if mode == "eval"] == [8, 2]
+
+    @pytest.mark.parametrize("size", [64, 256])
+    def test_per_class_iou_bytes_do_not_depend_on_batch_size(self, size):
+        model = build_model(TINY_MODEL, seed=2)
+        data = tiny_data(8, size=size)
+        results = [evaluate(model, data, 3, batch_size=b) for b in (1, 2, 8)]
+        for per_class, mean in results[1:]:
+            assert per_class.tobytes() == results[0][0].tobytes()
+            assert mean == results[0][1]
+
+    def test_empty_dataset_scores_zero(self):
+        per_class, mean = evaluate(build_model(TINY_MODEL, seed=2), [], 3)
+        assert mean == 0.0 and np.isnan(per_class).all()
 
 
 class TestBoundaryTarget:
