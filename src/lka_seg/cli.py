@@ -65,6 +65,8 @@ def load_config(path, overrides=None):
             doc = json.load(fh)
     except json.JSONDecodeError as err:
         raise ConfigError(f"{path}: invalid JSON ({err})") from err
+    except UnicodeDecodeError as err:
+        raise ConfigError(f"{path}: not UTF-8 text ({err})") from err
     if not isinstance(doc, dict):
         raise ConfigError(f"{path}: top level must be an object")
     unknown = set(doc) - {"version", "model", "train"}
@@ -125,6 +127,8 @@ def cmd_synth_data(args):
                 doc = json.load(fh)
         except json.JSONDecodeError as err:
             raise ConfigError(f"{args.spec}: invalid JSON ({err})") from err
+        except UnicodeDecodeError as err:
+            raise ConfigError(f"{args.spec}: not UTF-8 text ({err})") from err
         spec_doc = _section(args.spec, doc, _SPEC_DEFAULTS)
     # explicit flags override the spec file, which overrides SynthSpec's defaults
     flags = dict(

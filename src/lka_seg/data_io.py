@@ -303,13 +303,17 @@ def write_dataset(samples, out_dir, spec=None):
 
 def read_manifest(data_dir):
     path = os.path.join(data_dir, "manifest.txt")
+    try:
+        with open(path, "r", encoding="ascii") as fh:
+            lines = fh.readlines()
+    except UnicodeDecodeError as err:
+        raise ValueError(f"{path}: not ASCII text ({err})") from err
     manifest = {}
-    with open(path, "r", encoding="ascii") as fh:
-        for line in fh:
-            line = line.strip()
-            if line:
-                key, _, value = line.partition("=")
-                manifest[key] = value
+    for line in lines:
+        line = line.strip()
+        if line:
+            key, _, value = line.partition("=")
+            manifest[key] = value
     return manifest
 
 

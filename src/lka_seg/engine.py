@@ -4,28 +4,39 @@ Everything runs on 64-bit floats so gradients can be checked tightly
 against central finite differences. Convolution is direct (a blocked
 im2col-style contraction, no FFT/Winograd), cross-correlation convention,
 zero padding. Convolution and pooling share one geometry: the input is
-copied once into a zero-filled buffer of the padded shape (`_pad`), every
-kernel tap is read through one read-only strided view of that buffer
-(`_windows`), and the backward adds each tap's gradient back through the
+copied once into a zero-filled buffer of the padded shape (`_pad`), and
+every kernel tap is read through one read-only strided view of that
+buffer (`_windows`, `_tap_view`). Dense and grouped convs, strided
+depthwise convs and pooling add each tap's gradient back through the
 same slices (`_scatter_taps`).
 
 `conv2d` has two contraction paths. A depthwise conv (groups = c_in =
 c_out) sums each output cell's tap products in row-major tap order,
-starting from 0.0. While the product of every live tap fits in
-`_DW_BATCH_MAX` elements (2 MiB), the forward forms all of them with one
-multiply and adds them with one reduction over the tap axis; a larger
-map multiplies and accumulates one tap at a time, so the temporary stays
-small. Both give the same bits. Every other conv is one batched matmul
-of the per-group weight matrix against the im2col columns, shaped
-(n, groups, c_in/groups * kh * kw, oh * ow); for a 1x1 kernel at stride
-1 without padding the columns are the input itself, reshaped.
+starting from 0.0 (`_tap_sum`). While the product of every live tap fits
+in `_DW_BATCH_MAX` elements (2 MiB), it forms all of them with one
+multiply on a channels-last buffer, so numpy's inner loop runs over
+ow * c elements, and adds them with one reduction over the tap axis; a
+larger sum multiplies and accumulates one tap at a time on a
+channels-first buffer, so the temporary stays small. Both give the same
+bits. A stride-1 depthwise conv takes its input gradient as the same tap
+sum over the output gradient, the adjoint correlation (Dumoulin and
+Visin, "A guide to convolution arithmetic for deep learning", 2016): tap
+(i, j) of input cell (y, x) reads the zero-padded output gradient at
+(y + ph - i*dh, x + pw - j*dw), a view with negative tap strides. Each
+cell gets the products `_scatter_taps` would add, in the same order and
+from +0.0; a read that lands in the padding adds +-0.0, which cannot
+change a partial sum started from +0.0, so the bits are the scatter's.
+Every other conv is one batched matmul of the per-group weight matrix
+against the im2col columns, shaped (n, groups, c_in/groups * kh * kw,
+oh * ow); for a 1x1 kernel at stride 1 without padding the columns are
+the input itself, reshaped.
 
 Taps that read only padding are skipped (`_live_taps`): a dilated strip
 on a small map reaches far past its border, and such a tap would add
 exact zeros. The live taps are a contiguous block of rows and columns.
-The depthwise forward and weight gradient and every `_scatter_taps` loop
-run over them only, so results are unchanged apart from the sign of an
-exact zero. The FLOP meter still charges every nominal tap.
+Every depthwise tap sum and weight gradient and every `_scatter_taps`
+loop run over them only, so results are unchanged apart from the sign of
+an exact zero. The FLOP meter still charges every nominal tap.
 
 `select_mix` is the kernel selector's whole mix in one op: the joint
 spatial-times-channel logits, the softmax across branches
@@ -93,10 +104,13 @@ __all__ = [
 _INV_SQRT2 = 1.0 / np.sqrt(2.0)
 _INV_SQRT2PI = 1.0 / np.sqrt(2.0 * np.pi)
 # Largest live-tap product (taps * n * c * oh * ow elements) a depthwise
-# forward forms in one multiply; above it the tap loop is faster and keeps
-# the temporary small. 5x5, one BLAS thread, looped vs batched: b4 c16 8x8
-# (0.8 MiB) 128 vs 110 us, b4 c64 8x8 (3.1 MiB) 407 vs 422 us, b8 c64
-# 32x32 11.4 vs 15.9 ms.
+# tap sum forms in one channels-last multiply; above it the tap loop keeps
+# the temporary small. Forward, one BLAS thread, batched vs looped: 5x5
+# b4 c16 8x8 (0.8 MiB) 153 vs 210 us, b2 c64 8x8 (1.6 MiB) 269 vs 357 us,
+# b4 c64 8x8 (3.1 MiB) 611 vs 671 us, b2 c32 16x16 (3.1 MiB) 650 vs 485 us;
+# 1x11 strip b2 c32 16x16 (1.4 MiB) 297 vs 239 us. Wider maps favour the
+# loop sooner, so no bound splits them cleanly: 2^17 would loop the b2 c64
+# 8x8 conv of a 256x256 evaluate, and 2^19 would batch its b2 c32 16x16.
 _DW_BATCH_MAX = 1 << 18
 
 
@@ -527,22 +541,49 @@ def _out_hw(h, w, kernel, stride, padding, dilation=(1, 1)):
             (w + 2 * pw - (kw - 1) * dw - 1) // sw + 1)
 
 
-def _pad(arr, padding):
-    """Zero-padded C-contiguous copy of a 4-D array.
+def _pad(arr, padding, last=False):
+    """Zero-padded copy of a 4-D array, C-contiguous unless `last`.
 
     One zero-filled buffer of the padded shape with the input copied into
     its interior, so the values equal constant-mode `np.pad`. Without
-    padding a C-contiguous input is returned as is; any other layout is
-    copied, because the order in which numpy sums the window taps follows
-    the memory layout, and results must not depend on it.
+    padding an input already in the wanted layout is returned as is; any
+    other layout is copied, because the order in which numpy sums the
+    window taps follows the memory layout, and results must not depend on
+    it. With `last` the buffer is channels-last, as `_embed` lays it out.
     """
     ph, pw = padding
-    if not (ph or pw):
-        return np.ascontiguousarray(arr)
     n, c, h, w = arr.shape
-    out = np.zeros((n, c, h + 2 * ph, w + 2 * pw))
+    if last:
+        if not (ph or pw) and arr.transpose(0, 2, 3, 1).flags.c_contiguous:
+            return arr
+        out = np.zeros((n, h + 2 * ph, w + 2 * pw, c)).transpose(0, 3, 1, 2)
+    elif ph or pw:
+        out = np.zeros((n, c, h + 2 * ph, w + 2 * pw))
+    else:
+        return np.ascontiguousarray(arr)
     out[:, :, ph : ph + h, pw : pw + w] = arr
     return out
+
+
+def _embed(arr, size, at, last):
+    """A zero-filled (n, c, *size) buffer holding `arr` (n, c, h, w).
+
+    `arr`'s cell (0, 0) lands at `at`, which may be negative; what falls
+    outside the buffer is cropped. With `last` the memory is channels-last,
+    a C-contiguous (n, H, W, c) block, and the result is its transposed
+    view; otherwise the result is C-contiguous.
+    """
+    n, c, h, w = arr.shape
+    (hb, wb), (y0, x0) = size, at
+    if last:
+        buf = np.zeros((n, hb, wb, c)).transpose(0, 3, 1, 2)
+    else:
+        buf = np.zeros((n, c, hb, wb))
+    ys = slice(max(y0, 0), min(y0 + h, hb))
+    xs = slice(max(x0, 0), min(x0 + w, wb))
+    buf[:, :, ys, xs] = arr[:, :, ys.start - y0 : ys.stop - y0,
+                            xs.start - x0 : xs.stop - x0]
+    return buf
 
 
 def _windows(xp, kernel, stride, dilation):
@@ -607,6 +648,59 @@ def _scatter_taps(xp, tap_grad, kernel, stride, dilation, padding):
     return gxp
 
 
+def _dw_batched(taps, cells):
+    """Whether a depthwise tap sum forms all its products in one multiply."""
+    # numpy sums a lone cell's taps pairwise, which rounds differently
+    return 1 < cells and taps * cells <= _DW_BATCH_MAX
+
+
+def _tap_view(buf, taps, out, origin, step, stride):
+    """Read-only view (th, tw, n, c, oh, ow) of a depthwise tap sum's reads.
+
+    Tap (a, b) of cell (y, x) reads `buf` (n, c, H, W) at
+    (origin[0] + a*step[0] + y*stride[0], origin[1] + b*step[1] + x*stride[1]);
+    a negative step reads the taps backwards. `buf` is `_embed`'s or
+    `_pad`'s output: C-contiguous, or a view of a C-contiguous (n, H, W, c)
+    block. The view is built on that block with `np.ndarray`, which raises
+    if any read would fall outside it.
+    """
+    mem = buf if buf.flags.c_contiguous else buf.transpose(0, 2, 3, 1)
+    s0, s1, s2, s3 = buf.strides
+    win = np.ndarray((*taps, buf.shape[0], buf.shape[1], *out), buf.dtype, mem,
+                     origin[0] * s2 + origin[1] * s3,
+                     (step[0] * s2, step[1] * s3, s0, s1,
+                      stride[0] * s2, stride[1] * s3))
+    win.flags.writeable = False
+    return win
+
+
+def _tap_sum(view, wt):
+    """Depthwise tap sum: (n, c, oh, ow), C-contiguous.
+
+    Sums view[a, b] * wt[:, a, b] (per channel) over the taps of `view`,
+    `_tap_view`'s output, in row-major tap order, starting from 0.0, so
+    both paths below give the same bits. While the products fit
+    `_DW_BATCH_MAX` they are formed in one multiply, channels-last, and
+    added with one reduction over the tap axis; over a channels-last
+    buffer numpy's inner loop then runs ow * c elements. A larger sum
+    multiplies and adds one tap at a time, so the temporary stays small.
+    """
+    th, tw, n, c, oh, ow = view.shape
+    if _dw_batched(th * tw, n * c * oh * ow):
+        prod = np.multiply(view.transpose(0, 1, 2, 4, 5, 3),
+                           wt.transpose(1, 2, 0)[:, :, None, None, None, :],
+                           order="C")
+        # reducing the outer axis, numpy adds the taps one after another
+        out = np.add.reduce(prod.reshape(th * tw, n, oh, ow, c), axis=0,
+                            initial=0.0)
+        return np.ascontiguousarray(out.transpose(0, 3, 1, 2))
+    out = np.zeros((n, c, oh, ow))
+    for a in range(th):
+        for b in range(tw):
+            out += view[a, b] * wt[None, :, a, b, None, None]
+    return out
+
+
 def conv2d(x, w, b=None, stride=1, padding=0, dilation=1, groups=1):
     """Direct grouped/strided/dilated 2-D convolution (cross-correlation).
 
@@ -648,33 +742,20 @@ def conv2d(x, w, b=None, stride=1, padding=0, dilation=1, groups=1):
             f"{(kh - 1) * dh + 1}x{(kw - 1) * dw + 1}, padding {ph}x{pw}"
         )
 
-    xp = _pad(x.data, padding)
     depthwise_path = g == cin == cout
 
     if depthwise_path:
-        # per-channel taps: sum w[c, 0, i, j] * window tap over the live taps,
-        # in row-major tap order, from 0.0
-        win = _windows(xp, kernel, stride, dilation)  # (n, cin, oh, ow, kh, kw)
+        # per-channel taps: sum w[c, 0, i, j] * window tap over the live taps
         rows, cols = _live_taps((h, wdt), kernel, stride, padding, dilation, (oh, ow))
-        cells = n * cout * oh * ow
-        taps = len(rows) * len(cols)
-        # numpy sums a lone cell's taps pairwise, which rounds differently
-        if 1 < cells and taps * cells <= _DW_BATCH_MAX:
-            rs, cs = slice(rows.start, rows.stop), slice(cols.start, cols.stop)
-            prod = np.multiply(
-                win[..., rs, cs].transpose(4, 5, 0, 1, 2, 3),
-                w.data[:, 0, rs, cs].transpose(1, 2, 0)[:, :, None, :, None, None],
-                order="C")
-            # reducing the outer axis, numpy adds the taps one after another
-            out = np.add.reduce(prod.reshape(taps, n, cout, oh, ow), axis=0,
-                                initial=0.0)
-        else:
-            out = np.zeros((n, cout, oh, ow))
-            for i in rows:
-                for j in cols:
-                    out += win[:, :, :, :, i, j] * w.data[None, :, 0, i, j, None, None]
+        th, tw = len(rows), len(cols)
+        (dh, dw), (ph, pw) = dilation, padding
+        xp = _pad(x.data, padding, last=_dw_batched(th * tw, n * cout * oh * ow))
+        win = _tap_view(xp, (th, tw), (oh, ow), (rows.start * dh, cols.start * dw),
+                        dilation, stride)
+        out = _tap_sum(win, w.data[:, 0, rows.start:rows.stop, cols.start:cols.stop])
     else:
         # one batched contraction over (n, group): (cout/g, cg*kh*kw) @ cols
+        xp = _pad(x.data, padding)
         if kernel == stride == (1, 1) and padding == (0, 0):
             cols = xp.reshape(n, g, cg, h * wdt)  # a 1x1 kernel's columns
         else:
@@ -695,12 +776,24 @@ def conv2d(x, w, b=None, stride=1, padding=0, dilation=1, groups=1):
         if depthwise_path:
             if w.requires_grad:
                 gw = np.zeros_like(w.data)  # a dead tap's gradient is zero
-                for i in rows:
-                    for j in cols:
-                        gw[:, 0, i, j] = (g_out * win[:, :, :, :, i, j]).sum(
+                for ti, i in enumerate(rows):
+                    for tj, j in enumerate(cols):
+                        # C order: the sum's bits follow the product's layout
+                        gw[:, 0, i, j] = np.multiply(g_out, win[ti, tj], order="C").sum(
                             axis=(0, 2, 3))
                 _acc(w, gw)
-            if x.requires_grad:
+            if x.requires_grad and stride == (1, 1):
+                # tap (i, j) of input cell (y, x) reads g_out at
+                # (y + ph - i*dh, x + pw - j*dw), so the taps run backwards
+                # over g_out, zero-padded to cover every live tap's reads
+                reach = (th - 1) * dh, (tw - 1) * dw
+                gp = _embed(g_out, (h + reach[0], wdt + reach[1]),
+                            ((rows.stop - 1) * dh - ph, (cols.stop - 1) * dw - pw),
+                            last=_dw_batched(th * tw, x.data.size))
+                gwin = _tap_view(gp, (th, tw), (h, wdt), reach, (-dh, -dw), (1, 1))
+                _acc(x, _tap_sum(
+                    gwin, w.data[:, 0, rows.start:rows.stop, cols.start:cols.stop]))
+            elif x.requires_grad:
                 _acc(x, _scatter_taps(
                     xp, lambda i, j: g_out * w.data[None, :, 0, i, j, None, None],
                     kernel, stride, dilation, padding))

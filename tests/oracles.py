@@ -69,6 +69,36 @@ def depthwise_tap_loop(x, w, padding=(0, 0), dilation=(1, 1)):
     return out
 
 
+def depthwise_tap_loop_grads(x, w, g, padding=(0, 0), dilation=(1, 1)):
+    """Gradients (x, w) of <depthwise_tap_loop(x, w), g>, one tap at a time.
+
+    Only live taps count: a tap is live when it reads at least one input
+    cell. Input gradient: every live tap, in row-major order, adds
+    g * w[c, 0, i, j] onto a zero grid laid out like the padded input, at
+    the cells the tap read; the padding is cropped at the end. Weight
+    gradient: per live tap, one reduction over (n, y, x) of g times the
+    tap's window; a dead tap's gradient is +0.0.
+    """
+    n, c, h, wd = x.shape
+    _, _, kh, kw = w.shape
+    (ph, pw), (dh, dw) = padding, dilation
+    _, _, oh, ow = g.shape
+    xp = np.pad(x, ((0, 0), (0, 0), (ph, ph), (pw, pw)))
+    gxp = np.zeros_like(xp)
+    gw = np.zeros_like(w)
+    for i in range(kh):
+        if not any(0 <= i * dh - ph + y < h for y in range(oh)):
+            continue
+        for j in range(kw):
+            if not any(0 <= j * dw - pw + x_ < wd for x_ in range(ow)):
+                continue
+            rows = slice(i * dh, i * dh + oh)
+            cols = slice(j * dw, j * dw + ow)
+            gxp[:, :, rows, cols] += g * w[None, :, 0, i, j, None, None]
+            gw[:, 0, i, j] = (g * xp[:, :, rows, cols]).sum(axis=(0, 2, 3))
+    return gxp[:, :, ph : ph + h, pw : pw + wd], gw
+
+
 def conv2d_naive_grads(x, w, gout, stride=(1, 1), padding=(0, 0), dilation=(1, 1),
                        groups=1):
     """Gradients (x, w, b) of <conv2d_naive(x, w, b), gout>, the same six loops."""

@@ -154,6 +154,16 @@ class TestSynthData:
         assert rc == 2
         assert "unknown keys" in capsys.readouterr().err
 
+    def test_spec_file_not_utf8_exits_2_naming_file(self, tmp_path, capsys):
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_bytes(b'{"count": 2, "seed": "\xff"}')
+        rc = main(["synth-data", "--out", str(tmp_path / "d"),
+                   "--spec", str(spec_path)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error") and str(spec_path) in err, err
+        assert not (tmp_path / "d").exists()
+
 
 class TestTrain:
     def test_tiny_train_writes_outputs(self, tmp_path, capsys):
@@ -364,6 +374,27 @@ class TestTrain:
                    "--out", str(tmp_path / "run"), "--val-count", "2"])
         assert rc == 2
         assert "manifest.txt: missing key 'count'" in capsys.readouterr().err
+
+    def test_manifest_not_ascii_exits_2_naming_file(self, tmp_path, capsys):
+        data = synth(tmp_path, count=8, classes=3)
+        manifest = os.path.join(data, "manifest.txt")
+        with open(manifest, "ab") as fh:
+            fh.write(b"note=\xff\n")
+        cfg = write_config(tmp_path, TINY_CONFIG)
+        rc = main(["train", "--config", cfg, "--data", data,
+                   "--out", str(tmp_path / "run"), "--val-count", "2"])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert f"{manifest}: not ASCII text" in err, err
+        assert not (tmp_path / "run").exists()
+
+    def test_config_not_utf8_exits_2_naming_file(self, tmp_path, capsys):
+        cfg = tmp_path / "config.json"
+        cfg.write_bytes(json.dumps(TINY_CONFIG).encode()[:-1] + b', "x": "\xff"}')
+        rc = main(["params", "--config", str(cfg)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: {cfg}: not UTF-8 text"), err
 
     @pytest.mark.parametrize("count", ["-1", "-8"])
     def test_negative_val_count_exits_2(self, tmp_path, capsys, count):

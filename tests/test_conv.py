@@ -10,8 +10,8 @@ import lka_seg.engine as E
 from lka_seg.context import POOL_SCALES
 from helpers import gradcheck, sum_all
 from oracles import (avg_pool_naive, avg_pool_naive_grad, conv2d_naive,
-                     conv2d_naive_grads, depthwise_tap_loop, expand_kernel,
-                     rel_err)
+                     conv2d_naive_grads, depthwise_tap_loop,
+                     depthwise_tap_loop_grads, expand_kernel, rel_err)
 
 
 def test_scalar_product():
@@ -469,6 +469,116 @@ def test_depthwise_zero_region_keeps_positive_zero(batched, monkeypatch):
     assert out.data.tobytes() == depthwise_tap_loop(x, w, (0, 1)).tobytes()
     assert (out.data[:, :, 0] == 0.0).all()
     assert not np.signbit(out.data[:, :, 0]).any()
+
+
+def _spread(rng, shape):
+    """Normal samples scaled over 12 decades."""
+    return rng.normal(size=shape) * 10.0 ** rng.integers(-6, 6, shape)
+
+
+def _signed_zero_grad(rng, shape):
+    """An output gradient holding +0.0, -0.0 and magnitudes over 12 decades."""
+    g = _spread(rng, shape)
+    pick = rng.random(shape)
+    g[pick < 0.1] = 0.0
+    g[pick > 0.9] = -0.0
+    return g
+
+
+def _depthwise_grads(x, w, g, **kw):
+    xt, wt = E.Parameter(x), E.Parameter(w)
+    out = E.conv2d(xt, wt, groups=x.shape[1], **kw)
+    sum_all(E.mul(out, E.Tensor(g))).backward()
+    return xt.grad, wt.grad
+
+
+def _assert_grads_match_tap_loop(rng, n, c, size, kernel, padding, dilation):
+    x, w = _spread(rng, (n, c, *size)), _spread(rng, (c, 1, *kernel))
+    oh, ow = E._out_hw(*size, kernel, (1, 1), padding, dilation)
+    g = _signed_zero_grad(rng, (n, c, oh, ow))
+    gx, gw = _depthwise_grads(x, w, g, padding=padding, dilation=dilation)
+    want_gx, want_gw = depthwise_tap_loop_grads(x, w, g, padding, dilation)
+    assert gx.tobytes() == want_gx.tobytes()
+    assert gw.tobytes() == want_gw.tobytes()
+
+
+@pytest.mark.parametrize("batched", [True, False], ids=["batched", "loop"])
+@pytest.mark.parametrize("geometry", MODEL_DEPTHWISE)
+def test_model_depthwise_grads_match_tap_loop_bytes(geometry, batched, monkeypatch):
+    # the input gradient sums the taps backwards over the output gradient;
+    # every cell must get the oracle's products in the oracle's order, from +0.0
+    c, h, kernel, padding, dilation = geometry
+    if not batched:
+        monkeypatch.setattr(E, "_DW_BATCH_MAX", 0)
+    rng = np.random.default_rng(30)
+    for n in (1, 4):
+        assert (_depthwise_temp(n, c, h, kernel, padding, dilation)
+                <= E._DW_BATCH_MAX) == batched
+        _assert_grads_match_tap_loop(rng, n, c, (h, h), kernel, padding, dilation)
+
+
+@pytest.mark.parametrize("n, c, h, padding", [(2, 16, 32, (2, 2)), (1, 1, 1, (2, 2)),
+                                              (1, 1, 5, (0, 0))],
+                         ids=["eval-256-loop-side", "lone-input-cell",
+                              "lone-output-cell"])
+def test_depthwise_loop_side_grads_match_tap_loop_bytes(n, c, h, padding):
+    if c > 1:
+        assert _depthwise_temp(n, c, h, (5, 5), padding, (1, 1)) > E._DW_BATCH_MAX
+    _assert_grads_match_tap_loop(np.random.default_rng(31), n, c, (h, h), (5, 5),
+                                 padding, (1, 1))
+
+
+# Edge geometries of the reversed window: (map size, kernel, padding, dilation)
+REVERSED_WINDOW_EDGES = [
+    ((1, 1), (1, 11), (0, 15), (1, 3)),   # one live tap
+    ((2, 2), (1, 11), (0, 15), (1, 3)),   # one live tap
+    ((2, 2), (11, 1), (15, 0), (3, 1)),
+    ((1, 1), (5, 5), (2, 2), (1, 1)),
+    ((6, 6), (5, 5), (2, 1), (1, 1)),
+    ((5, 9), (5, 5), (2, 2), (1, 1)),
+    ((7, 3), (3, 5), (1, 2), (2, 1)),
+    ((4, 5), (3, 3), (3, 0), (1, 1)),     # padding past the kernel's reach
+]
+
+
+@pytest.mark.parametrize("batched", [True, False], ids=["batched", "loop"])
+@pytest.mark.parametrize("geometry", REVERSED_WINDOW_EDGES)
+def test_reversed_window_edges_match_tap_loop_bytes(geometry, batched, monkeypatch):
+    size, kernel, padding, dilation = geometry
+    if not batched:
+        monkeypatch.setattr(E, "_DW_BATCH_MAX", 0)
+    rng = np.random.default_rng(32)
+    for n in (1, 3):
+        _assert_grads_match_tap_loop(rng, n, 4, size, kernel, padding, dilation)
+
+
+def test_strided_depthwise_grads_match_naive():
+    rng = np.random.default_rng(33)
+    x = rng.normal(size=(2, 3, 9, 8))
+    w = rng.normal(size=(3, 1, 3, 5))
+    kw = dict(stride=(2, 2), padding=(1, 2), dilation=(2, 1))
+    g = rng.normal(size=E.conv2d(E.Tensor(x), E.Tensor(w), groups=3, **kw).shape)
+    for got, want in zip(_depthwise_grads(x, w, g, **kw),
+                         conv2d_naive_grads(x, w, g, groups=3, **kw)):
+        assert rel_err(got, want) < 1e-12
+
+
+@pytest.mark.parametrize("op, scatters", [
+    (lambda x: E.conv2d(x, E.Tensor(np.ones((3, 1, 5, 5))), padding=2, groups=3),
+     False),
+    (lambda x: E.conv2d(x, E.Tensor(np.ones((3, 1, 3, 3))), stride=2, groups=3),
+     True),
+    (lambda x: E.conv2d(x, E.Tensor(np.ones((2, 3, 3, 3))), padding=1), True),
+    (lambda x: E.avg_pool(x, 3, 2, 1), True),
+], ids=["depthwise", "strided-depthwise", "dense", "avg-pool"])
+def test_which_backwards_scatter_taps(op, scatters, monkeypatch):
+    calls = []
+    scatter = E._scatter_taps
+    monkeypatch.setattr(E, "_scatter_taps", lambda *a: calls.append(1) or scatter(*a))
+    x = E.Parameter(np.random.default_rng(34).normal(size=(2, 3, 7, 7)))
+    sum_all(op(x)).backward()
+    assert x.grad is not None
+    assert bool(calls) == scatters
 
 
 def _pointwise_im2col(x, w, groups):

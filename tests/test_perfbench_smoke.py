@@ -10,7 +10,8 @@ so re-splitting the kernel selector's fused mix into small ops fails here.
 The tracer counts tensors by wrapping `Tensor.__init__`; every op output
 must still be built through it, so there are at least as many tensors as
 ops. An untraced eval-256 run covers `training.evaluate` at 256x256 and a
-checkpoint round trip, and must pass its probe and mIoU checks.
+checkpoint round trip, and an untraced train-64 run covers the training
+loop's backward sweep; both must pass their probe and mIoU checks.
 """
 
 import json
@@ -45,6 +46,24 @@ def test_untraced_eval_256_run_passes_its_checks():
     # checkpoint it wrote back in
     proc = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", "eval-256",
+         "--seed", "1", "--seconds", "1"],
+        cwd=ROOT, capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    docs = [json.loads(line) for line in proc.stdout.splitlines() if line]
+    checks = next(d["checks"] for d in docs if "checks" in d)
+    result = next(d for d in docs if "failed" in d)
+    assert result["correct"] is True
+    assert result["failed"] == 0
+    assert checks["probe"] is True
+    assert checks["val_miou"] is True
+
+
+def test_untraced_train_64_run_passes_its_checks():
+    # the one workload that runs backward sweeps, SGD and epoch checkpoints;
+    # its val_miou check pins criterion 7's training to its reference
+    proc = subprocess.run(
+        [sys.executable, "perfbench/run.py", "--workload", "train-64",
          "--seed", "1", "--seconds", "1"],
         cwd=ROOT, capture_output=True, text=True, timeout=300,
     )
