@@ -148,8 +148,6 @@ def cmd_synth_data(args):
 
 
 def _split_dataset(samples, val_count):
-    if val_count < 0:
-        raise ConfigError(f"--val-count must be >= 0, got {val_count}")
     if val_count >= len(samples):
         raise ConfigError(
             f"val_count {val_count} leaves no training data "
@@ -161,6 +159,9 @@ def _split_dataset(samples, val_count):
 
 
 def cmd_train(args):
+    # flags first: a bad one must not wait on, or hide behind, file I/O
+    if args.val_count < 0:
+        raise ConfigError(f"--val-count must be >= 0, got {args.val_count}")
     model, model_cfg, train_cfg = _build_from_args(args)
     if not os.path.isdir(args.data):
         raise ConfigError(f"dataset directory {args.data!r} does not exist")
@@ -173,6 +174,8 @@ def cmd_train(args):
 
 
 def cmd_eval(args):
+    if args.batch < 1:
+        raise ConfigError(f"--batch {args.batch}: batch_size must be >= 1")
     model, model_cfg, train_cfg = _build_from_args(args)
     data_io.load_into_model(model, args.ckpt)
     samples, _ = data_io.load_dataset(args.data)
@@ -188,6 +191,8 @@ def cmd_eval(args):
 
 
 def cmd_infer(args):
+    if args.overlay is not None and not 0.0 <= args.overlay <= 1.0:
+        raise ConfigError(f"--overlay must be in [0, 1], got {args.overlay}")
     model, model_cfg, _ = _build_from_args(args)
     data_io.load_into_model(model, args.ckpt)
     image = data_io.read_ppm(args.image)

@@ -380,10 +380,14 @@ def _model_entries(model):
 
 
 def save_checkpoint(model, path):
-    """Serialize the parameter tree (plus running stats) bit-exactly."""
+    """Serialize the parameter tree (plus running stats) bit-exactly.
+
+    The file is joined in one copy; the CRC runs over the entries as they
+    are appended.
+    """
     manifest = bytearray()
-    payload = bytearray()
-    count = 0
+    arrays = []
+    crc = 0
     offset = 0
     for name, arr, trainable in _model_entries(model):
         nameb = name.encode("utf-8")
@@ -391,18 +395,13 @@ def save_checkpoint(model, path):
         manifest += struct.pack("<BB", int(trainable), arr.ndim)
         manifest += struct.pack(f"<{arr.ndim}I", *arr.shape)
         manifest += struct.pack("<Q", offset)
-        payload += np.ascontiguousarray(arr, dtype="<f8").tobytes()
+        data = np.ascontiguousarray(arr, dtype="<f8")
+        crc = zlib.crc32(data, crc)
+        arrays.append(data)
         offset += arr.size
-        count += 1
-    blob = (
-        CHECKPOINT_MAGIC
-        + struct.pack("<II", CHECKPOINT_VERSION, count)
-        + bytes(manifest)
-        + struct.pack("<Q", len(payload))
-        + bytes(payload)
-        + struct.pack("<I", zlib.crc32(bytes(payload)))
-    )
-    _atomic_write(path, blob)
+    head = CHECKPOINT_MAGIC + struct.pack("<II", CHECKPOINT_VERSION, len(arrays))
+    _atomic_write(path, b"".join([head, manifest, struct.pack("<Q", 8 * offset),
+                                  *arrays, struct.pack("<I", crc)]))
 
 
 def load_checkpoint(path):

@@ -6,9 +6,10 @@ im2col-style contraction, no FFT/Winograd), cross-correlation convention,
 zero padding. Convolution and pooling share one geometry: the input is
 copied once into a zero-filled buffer of the padded shape (`_pad`), and
 every kernel tap is read through one read-only strided view of that
-buffer (`_windows`, `_tap_view`). Dense and grouped convs, strided
-depthwise convs and pooling add each tap's gradient back through the
-same slices (`_scatter_taps`).
+buffer (`_windows`, `_tap_view`). Strided dense and grouped convs,
+strided depthwise convs and pooling add each tap's gradient back through
+the same slices (`_scatter_taps`); every stride-1 conv gathers its input
+gradient instead, as below.
 
 `conv2d` has two contraction paths. A depthwise conv (groups = c_in =
 c_out) sums each output cell's tap products in row-major tap order,
@@ -29,14 +30,21 @@ change a partial sum started from +0.0, so the bits are the scatter's.
 Every other conv is one batched matmul of the per-group weight matrix
 against the im2col columns, shaped (n, groups, c_in/groups * kh * kw,
 oh * ow); for a 1x1 kernel at stride 1 without padding the columns are
-the input itself, reshaped.
+the input itself, reshaped. Its backward's matmul gives the gradient
+reaching each tap. At stride 1 each input cell then adds those at
+(y + ph - i*dh, x + pw - j*dw) over the live taps, in row-major order from
++0.0 (`_dense_input_grad`), the scatter's sums again: on small maps as one
+copy of the reversed-stride view and one reduction over the tap axis,
+otherwise one tap at a time. A 1x1 unpadded conv's input gradient is its
+gradient columns plus 0.0, the scatter's 0.0 + v in one op.
 
 Taps that read only padding are skipped (`_live_taps`): a dilated strip
 on a small map reaches far past its border, and such a tap would add
 exact zeros. The live taps are a contiguous block of rows and columns.
-Every depthwise tap sum and weight gradient and every `_scatter_taps`
-loop run over them only, so results are unchanged apart from the sign of
-an exact zero. The FLOP meter still charges every nominal tap.
+Every depthwise tap sum and weight gradient, every dense input gradient
+and every `_scatter_taps` loop run over them only, so results are
+unchanged apart from the sign of an exact zero. The FLOP meter still
+charges every nominal tap.
 
 `select_mix` is the kernel selector's whole mix in one op: the joint
 spatial-times-channel logits, the softmax across branches
@@ -112,6 +120,14 @@ _INV_SQRT2PI = 1.0 / np.sqrt(2.0 * np.pi)
 # loop sooner, so no bound splits them cleanly: 2^17 would loop the b2 c64
 # 8x8 conv of a 256x256 evaluate, and 2^19 would batch its b2 c32 16x16.
 _DW_BATCH_MAX = 1 << 18
+# Largest zero-padded block of one tap (n * c * (h + reach) * (w + reach)
+# elements) for which a stride-1 dense input gradient copies out every
+# tap's block and adds them in one reduction; above it, adding one tap at
+# a time onto the input's cells costs less than the copy. One BLAS thread,
+# gather vs tap loop, b4: 7x7 c2 4x4 (block 800) 27 vs 112 us, 3x3 c16
+# 8x8 (6400) 62 vs 64 us, 5x5 c16 8x8 (9216) 231 vs 187 us, 3x3 c48 8x8
+# (19200) 228 vs 166 us.
+_DENSE_GATHER_MAX = 1 << 13
 
 
 class _State(threading.local):
@@ -566,23 +582,24 @@ def _pad(arr, padding, last=False):
 
 
 def _embed(arr, size, at, last):
-    """A zero-filled (n, c, *size) buffer holding `arr` (n, c, h, w).
+    """A zero-filled (..., c, *size) buffer holding `arr` (..., c, h, w).
 
     `arr`'s cell (0, 0) lands at `at`, which may be negative; what falls
     outside the buffer is cropped. With `last` the memory is channels-last,
-    a C-contiguous (n, H, W, c) block, and the result is its transposed
-    view; otherwise the result is C-contiguous.
+    a C-contiguous (..., H, W, c) block, and the result is its view with
+    the channel axis moved back; otherwise the result is C-contiguous.
     """
-    n, c, h, w = arr.shape
+    *lead, c, h, w = arr.shape
     (hb, wb), (y0, x0) = size, at
     if last:
-        buf = np.zeros((n, hb, wb, c)).transpose(0, 3, 1, 2)
+        k = len(lead)
+        buf = np.zeros((*lead, hb, wb, c)).transpose(*range(k), k + 2, k, k + 1)
     else:
-        buf = np.zeros((n, c, hb, wb))
+        buf = np.zeros((*lead, c, hb, wb))
     ys = slice(max(y0, 0), min(y0 + h, hb))
     xs = slice(max(x0, 0), min(x0 + w, wb))
-    buf[:, :, ys, xs] = arr[:, :, ys.start - y0 : ys.stop - y0,
-                            xs.start - x0 : xs.stop - x0]
+    buf[..., ys, xs] = arr[..., ys.start - y0 : ys.stop - y0,
+                           xs.start - x0 : xs.stop - x0]
     return buf
 
 
@@ -655,23 +672,43 @@ def _dw_batched(taps, cells):
 
 
 def _tap_view(buf, taps, out, origin, step, stride):
-    """Read-only view (th, tw, n, c, oh, ow) of a depthwise tap sum's reads.
+    """Read-only view (th, tw, n, c, oh, ow) of a tap sum's reads.
 
     Tap (a, b) of cell (y, x) reads `buf` (n, c, H, W) at
     (origin[0] + a*step[0] + y*stride[0], origin[1] + b*step[1] + x*stride[1]);
-    a negative step reads the taps backwards. `buf` is `_embed`'s or
-    `_pad`'s output: C-contiguous, or a view of a C-contiguous (n, H, W, c)
-    block. The view is built on that block with `np.ndarray`, which raises
-    if any read would fall outside it.
+    a negative step reads the taps backwards. A (th, tw, n, c, H, W) `buf`
+    holds one block per tap, and tap (a, b) reads block (a, b). `buf` is
+    `_embed`'s or `_pad`'s output: C-contiguous, or a view of a
+    C-contiguous channels-last block. The view is built on that block with
+    `np.ndarray`, which raises if any read would fall outside it.
     """
-    mem = buf if buf.flags.c_contiguous else buf.transpose(0, 2, 3, 1)
-    s0, s1, s2, s3 = buf.strides
-    win = np.ndarray((*taps, buf.shape[0], buf.shape[1], *out), buf.dtype, mem,
+    k = buf.ndim - 4
+    mem = buf if buf.flags.c_contiguous else buf.transpose(
+        *range(k + 1), k + 2, k + 3, k + 1)
+    *block, s0, s1, s2, s3 = buf.strides
+    ba, bb = block or (0, 0)
+    win = np.ndarray((*taps, *buf.shape[-4:-2], *out), buf.dtype, mem,
                      origin[0] * s2 + origin[1] * s3,
-                     (step[0] * s2, step[1] * s3, s0, s1,
+                     (ba + step[0] * s2, bb + step[1] * s3, s0, s1,
                       stride[0] * s2, stride[1] * s3))
     win.flags.writeable = False
     return win
+
+
+def _adjoint_view(g, size, live, dilation, padding, last):
+    """Reversed-stride view (th, tw, n, c, h, w) of a stride-1 input gradient.
+
+    Tap (i, j) of input cell (y, x) reads the output gradient `g` at
+    (y + ph - i*dh, x + pw - j*dw), i and j over the `live` tap ranges;
+    `g` is zero-padded (`_embed`, channels-last with `last`) to cover
+    every such read. `g` is (n, c, oh, ow), shared by every tap, or
+    (th, tw, n, c, oh, ow), one block per live tap.
+    """
+    (rows, cols), (dh, dw), (ph, pw) = live, dilation, padding
+    reach = (len(rows) - 1) * dh, (len(cols) - 1) * dw
+    gp = _embed(g, (size[0] + reach[0], size[1] + reach[1]),
+                ((rows.stop - 1) * dh - ph, (cols.stop - 1) * dw - pw), last)
+    return _tap_view(gp, (len(rows), len(cols)), size, reach, (-dh, -dw), (1, 1))
 
 
 def _tap_sum(view, wt):
@@ -698,6 +735,43 @@ def _tap_sum(view, wt):
     for a in range(th):
         for b in range(tw):
             out += view[a, b] * wt[None, :, a, b, None, None]
+    return out
+
+
+def _dense_input_grad(taps, size, dilation, padding):
+    """Input gradient (n, c, h, w) of a stride-1 dense conv, C-contiguous.
+
+    `taps` (n, c, kh, kw, oh, ow) holds the gradient reaching each tap.
+    Input cell (y, x) adds taps[:, :, i, j] at (y + ph - i*dh, x + pw - j*dw)
+    over the live taps, in row-major order, from +0.0: the products and
+    order of `_scatter_taps`, without its padded grid. While one tap's
+    zero-padded block (`_adjoint_view`) fits `_DENSE_GATHER_MAX`, every
+    block is copied out in one go and the taps are added with one reduction
+    over the tap axis; a read that lands in the padding adds +-0.0, which
+    cannot change a sum started from +0.0. Otherwise each tap's in-bounds
+    part is added onto the input's cells one tap at a time.
+    """
+    n, c, kh, kw, oh, ow = taps.shape
+    (h, w), (dh, dw), (ph, pw) = size, dilation, padding
+    live = rows, cols = _live_taps(size, (kh, kw), (1, 1), padding, dilation, (oh, ow))
+    th, tw = len(rows), len(cols)
+    block = n * c * (h + (th - 1) * dh) * (w + (tw - 1) * dw)
+    # numpy sums a lone cell's taps pairwise, which rounds differently
+    if 1 < n * c * h * w and block <= _DENSE_GATHER_MAX:
+        blocks = taps[:, :, rows.start:rows.stop, cols.start:cols.stop]
+        view = _adjoint_view(blocks.transpose(2, 3, 0, 1, 4, 5), size, live,
+                             dilation, padding, last=False)
+        return np.add.reduce(np.ascontiguousarray(view).reshape(th * tw, n, c, h, w),
+                             axis=0, initial=0.0)
+    out = np.zeros((n, c, h, w))
+    for i in rows:
+        y0 = i * dh - ph   # input row of the tap's output row 0
+        ys = slice(max(y0, 0), min(y0 + oh, h))
+        for j in cols:
+            x0 = j * dw - pw
+            xs = slice(max(x0, 0), min(x0 + ow, w))
+            out[:, :, ys, xs] += taps[:, :, i, j, ys.start - y0 : ys.stop - y0,
+                                      xs.start - x0 : xs.stop - x0]
     return out
 
 
@@ -748,7 +822,7 @@ def conv2d(x, w, b=None, stride=1, padding=0, dilation=1, groups=1):
         # per-channel taps: sum w[c, 0, i, j] * window tap over the live taps
         rows, cols = _live_taps((h, wdt), kernel, stride, padding, dilation, (oh, ow))
         th, tw = len(rows), len(cols)
-        (dh, dw), (ph, pw) = dilation, padding
+        dh, dw = dilation
         xp = _pad(x.data, padding, last=_dw_batched(th * tw, n * cout * oh * ow))
         win = _tap_view(xp, (th, tw), (oh, ow), (rows.start * dh, cols.start * dw),
                         dilation, stride)
@@ -756,7 +830,8 @@ def conv2d(x, w, b=None, stride=1, padding=0, dilation=1, groups=1):
     else:
         # one batched contraction over (n, group): (cout/g, cg*kh*kw) @ cols
         xp = _pad(x.data, padding)
-        if kernel == stride == (1, 1) and padding == (0, 0):
+        pointwise = kernel == stride == (1, 1) and padding == (0, 0)
+        if pointwise:
             cols = xp.reshape(n, g, cg, h * wdt)  # a 1x1 kernel's columns
         else:
             cols = _windows(xp, kernel, stride, dilation).transpose(
@@ -783,14 +858,8 @@ def conv2d(x, w, b=None, stride=1, padding=0, dilation=1, groups=1):
                             axis=(0, 2, 3))
                 _acc(w, gw)
             if x.requires_grad and stride == (1, 1):
-                # tap (i, j) of input cell (y, x) reads g_out at
-                # (y + ph - i*dh, x + pw - j*dw), so the taps run backwards
-                # over g_out, zero-padded to cover every live tap's reads
-                reach = (th - 1) * dh, (tw - 1) * dw
-                gp = _embed(g_out, (h + reach[0], wdt + reach[1]),
-                            ((rows.stop - 1) * dh - ph, (cols.stop - 1) * dw - pw),
-                            last=_dw_batched(th * tw, x.data.size))
-                gwin = _tap_view(gp, (th, tw), (h, wdt), reach, (-dh, -dw), (1, 1))
+                gwin = _adjoint_view(g_out, (h, wdt), (rows, cols), dilation, padding,
+                                     last=_dw_batched(th * tw, x.data.size))
                 _acc(x, _tap_sum(
                     gwin, w.data[:, 0, rows.start:rows.stop, cols.start:cols.stop]))
             elif x.requires_grad:
@@ -807,8 +876,14 @@ def conv2d(x, w, b=None, stride=1, padding=0, dilation=1, groups=1):
             # it, and a captured view would keep the old weights alive
             gcols = np.matmul(w.data.reshape(g, cout // g, -1).transpose(0, 2, 1), gog)
             taps = gcols.reshape(n, cin, kh, kw, oh, ow)
-            _acc(x, _scatter_taps(xp, lambda i, j: taps[:, :, i, j],
-                                  kernel, stride, dilation, padding))
+            if pointwise:
+                # one tap: the scatter's 0.0 + v as one op
+                _acc(x, gcols.reshape(x.data.shape) + 0.0)
+            elif stride == (1, 1):
+                _acc(x, _dense_input_grad(taps, (h, wdt), dilation, padding))
+            else:
+                _acc(x, _scatter_taps(xp, lambda i, j: taps[:, :, i, j],
+                                      kernel, stride, dilation, padding))
 
     return _record(out, parents, bwd, flops)
 
@@ -900,18 +975,28 @@ def batch_norm(x, gamma, beta, running_mean, running_var, mode, momentum=0.1, ep
     out += beta.data[None, :, None, None]
 
     def bwd(g):
+        # In place, one elementwise op at a time, each one of
+        # (inv / m) * (m * gxhat - s1 - xhat * s2) in its order, so the bits
+        # are that expression's; `prod` is the one scratch buffer for the
+        # products with xhat.
+        prod = None
         if beta.requires_grad:
             _acc(beta, g.sum(axis=(0, 2, 3)))
         if gamma.requires_grad:
-            _acc(gamma, (g * xhat).sum(axis=(0, 2, 3)))
+            prod = np.multiply(g, xhat)
+            _acc(gamma, prod.sum(axis=(0, 2, 3)))
         if x.requires_grad:
-            gxhat = g * gamma.data[None, :, None, None]
+            gx = g * gamma.data[None, :, None, None]
             if mode == "train":
-                s1 = gxhat.sum(axis=(0, 2, 3), keepdims=True)
-                s2 = (gxhat * xhat).sum(axis=(0, 2, 3), keepdims=True)
-                gx = (inv[None, :, None, None] / m) * (m * gxhat - s1 - xhat * s2)
+                s1 = gx.sum(axis=(0, 2, 3), keepdims=True)
+                prod = np.multiply(gx, xhat, out=prod)
+                s2 = prod.sum(axis=(0, 2, 3), keepdims=True)
+                gx *= m
+                gx -= s1
+                gx -= np.multiply(xhat, s2, out=prod)
+                gx *= inv[None, :, None, None] / m
             else:
-                gx = gxhat * inv[None, :, None, None]
+                gx *= inv[None, :, None, None]
             _acc(x, gx)
 
     return _record(out, (x, gamma, beta), bwd, 2 * out.size)

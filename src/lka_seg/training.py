@@ -8,6 +8,11 @@ edge map built from the labels at the head's 1/8 scale. Total loss:
 
     seg + AUX_WEIGHT * aux + BOUNDARY_WEIGHT * boundary
 
+Mining and the loss share one softmax: `ohem_cross_entropy` shifts the
+logits by their class max and sums exp over the classes once, and
+`_masked_nll` takes only the log of that sum, so each loss gives the bytes
+of computing both from scratch.
+
 `TrainConfig` holds what a run varies: epochs, batch size, base learning
 rate and seed. The rest are module constants: SGD `MOMENTUM` and
 `WEIGHT_DECAY`, the poly schedule's `POLY_POWER`, the mining
@@ -26,6 +31,7 @@ from __future__ import annotations
 import csv
 import io
 import os
+import shutil
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -98,19 +104,30 @@ def _check_labels(labels, class_count, ignore_index):
         )
 
 
-def _masked_nll(logits, labels, keep):
+def _shifted_exp_sum(x):
+    """(z, exp(z), the class sum of exp(z)) for z = `x` minus its class max."""
+    z = x - x.max(axis=1, keepdims=True)
+    e = np.exp(z)
+    return z, e, e.sum(axis=1, keepdims=True)
+
+
+def _masked_nll(logits, labels, keep, shifted=None):
     """Mean negative log-softmax over the kept pixels (fused op).
 
     `keep` is a boolean (n, h, w) mask. An empty mask yields loss 0 with a
     zero gradient. Both plain and hard-example cross-entropy funnel through
     here, so degenerate mining settings reproduce the plain loss bit for
-    bit.
+    bit. `shifted` is `(z, sum)` from `_shifted_exp_sum` of the logits,
+    when the caller has them already.
     """
     x = logits.data
     n, k, h, w = x.shape
     safe = np.where(keep, labels, 0)[:, None]
-    z = x - x.max(axis=1, keepdims=True)
-    lse = np.log(np.exp(z).sum(axis=1, keepdims=True))
+    if shifted is None:
+        z, _, esum = _shifted_exp_sum(x)
+    else:
+        z, esum = shifted
+    lse = np.log(esum)
     nll = lse[:, 0] - np.take_along_axis(z, safe, axis=1)[:, 0]
     count = max(int(keep.sum()), 1)
     loss = (nll * keep).sum() / count
@@ -144,26 +161,20 @@ def ohem_cross_entropy(logits, labels, cfg: OhemConfig, ignore_index=IGNORE_INDE
     _check_labels(labels, logits.data.shape[1], ignore_index)
     valid = labels != ignore_index
     n_valid = int(valid.sum())
-    if n_valid == 0:
+    if n_valid == 0 or cfg.threshold >= 1.0:
         return _masked_nll(logits, labels, valid)
-
-    if cfg.threshold >= 1.0:
-        keep = valid
-    else:
-        x = logits.data
-        z = x - x.max(axis=1, keepdims=True)
-        p = np.exp(z)
-        p /= p.sum(axis=1, keepdims=True)
-        safe = np.where(valid, labels, 0)[:, None]
-        p_true = np.take_along_axis(p, safe, axis=1)[:, 0]
-        keep = valid & (p_true < cfg.threshold)
-        min_kept = min(cfg.min_kept, n_valid)
-        if int(keep.sum()) < min_kept:
-            score = np.where(valid, p_true, np.inf).ravel()
-            idx = np.argpartition(score, min_kept - 1)[:min_kept]
-            keep = np.zeros(labels.shape, dtype=bool)
-            keep.ravel()[idx] = True
-    return _masked_nll(logits, labels, keep)
+    z, p, esum = _shifted_exp_sum(logits.data)
+    p /= esum
+    safe = np.where(valid, labels, 0)[:, None]
+    p_true = np.take_along_axis(p, safe, axis=1)[:, 0]
+    keep = valid & (p_true < cfg.threshold)
+    min_kept = min(cfg.min_kept, n_valid)
+    if int(keep.sum()) < min_kept:
+        score = np.where(valid, p_true, np.inf).ravel()
+        idx = np.argpartition(score, min_kept - 1)[:min_kept]
+        keep = np.zeros(labels.shape, dtype=bool)
+        keep.ravel()[idx] = True
+    return _masked_nll(logits, labels, keep, (z, esum))
 
 
 def boundary_bce(boundary_logits, boundary_mask):
@@ -292,15 +303,17 @@ def boundary_target_at_scale(labels, factor):
     n, h, w = labels.shape
     if h % factor or w % factor:
         raise ValueError(f"label dims {h}x{w} not divisible by {factor}")
+    if labels.min() < 0:
+        raise ValueError(f"labels must be >= 0, got {labels.min()}")
     k = int(labels.max()) + 1
-    tiles = labels.reshape(n, h // factor, factor, w // factor, factor)
-    tiles = tiles.transpose(0, 1, 3, 2, 4).reshape(n, h // factor, w // factor,
-                                                   factor * factor)
-    counts = (tiles[..., None] == np.arange(k)).sum(axis=3)
-    majority = counts.argmax(axis=3)
+    th, tw = h // factor, w // factor
+    tiles = labels.reshape(n, th, factor, tw, factor).transpose(0, 1, 3, 2, 4)
+    # one count per (tile, class): key tile * k + label
+    keys = np.arange(n * th * tw).reshape(n, th, tw, 1, 1) * k + tiles
+    counts = np.bincount(keys.ravel(), minlength=n * th * tw * k)
+    majority = counts.reshape(n, th, tw, k).argmax(axis=3)
     # an edge-padded border repeats an in-bounds neighbour, so it adds no edge
     padded = np.pad(majority, ((0, 0), (1, 1), (1, 1)), mode="edge")
-    th, tw = majority.shape[1:]
     edge = np.zeros(majority.shape, dtype=bool)
     for dy in range(3):
         for dx in range(3):
@@ -422,9 +435,11 @@ def train_model(model, train_data, val_data, cfg: TrainConfig, out_dir=None,
     """Run the full loop; returns the per-epoch metric history.
 
     When `out_dir` is given, writes metrics.csv plus best.ckpt/last.ckpt
-    (best by validation mIoU). Each epoch serializes its checkpoints to
-    `<name>.staged` files and a background thread renames them into
-    place, so the training steps do not wait on the file system. All
+    (best by validation mIoU). Each epoch serializes the model once, to
+    `last.ckpt.staged`; an epoch that improves the best score copies that
+    file to `best.ckpt.staged`. A background thread renames the staged
+    files into place, so the training steps do not wait on the file
+    system. All
     three files are on disk when this returns. A failed checkpoint write
     raises `OSError` no later than the next epoch's save or the return;
     on any error, the checkpoints of earlier epochs are in place when it
@@ -503,15 +518,15 @@ def train_model(model, train_data, val_data, cfg: TrainConfig, out_dir=None,
                 # either rename starts, so no write here waits on it.
                 if landing:
                     landing.result()
-                names = ["last.ckpt"]
+                last = os.path.join(out_dir, "last.ckpt")
+                save_checkpoint(model, last + ".staged")
+                staged = [(last + ".staged", last)]
                 if val_miou >= best:
+                    # the same model: copy the bytes rather than serialize twice
                     best = val_miou
-                    names.insert(0, "best.ckpt")
-                staged = []
-                for name in names:
-                    final = os.path.join(out_dir, name)
-                    save_checkpoint(model, final + ".staged")
-                    staged.append((final + ".staged", final))
+                    best_path = os.path.join(out_dir, "best.ckpt")
+                    shutil.copyfile(last + ".staged", best_path + ".staged")
+                    staged.insert(0, (best_path + ".staged", best_path))
                 landing = renames.submit(_land, staged)
         if landing:
             landing.result()

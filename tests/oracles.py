@@ -131,6 +131,119 @@ def conv2d_naive_grads(x, w, gout, stride=(1, 1), padding=(0, 0), dilation=(1, 1
     return gx, gw, gout.sum(axis=(0, 2, 3))
 
 
+def dense_input_grad_scatter(w, g, x_shape, padding=(0, 0), dilation=(1, 1)):
+    """Input gradient of a stride-1 dense conv (groups 1), tap by tap.
+
+    The per-tap gradients are the engine's `gcols` matmul, same shapes;
+    `scatter_tap_grads` adds them up.
+    """
+    n = x_shape[0]
+    cout, cin, kh, kw = w.shape
+    _, _, oh, ow = g.shape
+    gcols = np.matmul(w.reshape(1, cout, -1).transpose(0, 2, 1),
+                      g.reshape(n, 1, cout, oh * ow))
+    return scatter_tap_grads(gcols.reshape(n, cin, kh, kw, oh, ow), x_shape,
+                             padding, dilation)
+
+
+def scatter_tap_grads(taps, x_shape, padding=(0, 0), dilation=(1, 1)):
+    """Input gradient from the gradients `taps` (n, c, kh, kw, oh, ow)
+    reaching each tap of a stride-1 conv.
+
+    Every tap, in row-major order, adds its gradient onto a zero grid laid
+    out like the padded input, at the cells the tap read; the padding is
+    cropped at the end. A tap that reads only padding adds only to the
+    cropped border.
+    """
+    n, cin, h, wd = x_shape
+    _, _, kh, kw, oh, ow = taps.shape
+    (ph, pw), (dh, dw) = padding, dilation
+    gxp = np.zeros((n, cin, h + 2 * ph, wd + 2 * pw))
+    for i in range(kh):
+        for j in range(kw):
+            gxp[:, :, i * dh : i * dh + oh, j * dw : j * dw + ow] += taps[:, :, i, j]
+    return gxp[:, :, ph : ph + h, pw : pw + wd]
+
+
+def batch_norm_grads_plain(x, gamma, g, mode, running_mean=None, running_var=None,
+                           eps=1e-5):
+    """Gradients (x, gamma, beta) of batch norm, each in one expression.
+
+    `xhat` and `inv` are formed as the forward forms them; the train-mode
+    input gradient is (inv / m) * (m * gxhat - s1 - xhat * s2).
+    """
+    n, c, h, w = x.shape
+    m = n * h * w
+    if mode == "train":
+        mean = x.mean(axis=(0, 2, 3))
+        d = x - mean[None, :, None, None]
+        var = (d * d).sum(axis=(0, 2, 3)) / m
+    else:
+        mean, var = running_mean, running_var
+        d = x - mean[None, :, None, None]
+    inv = 1.0 / np.sqrt(var + eps)
+    xhat = d * inv[None, :, None, None]
+    gxhat = g * gamma[None, :, None, None]
+    if mode == "train":
+        s1 = gxhat.sum(axis=(0, 2, 3), keepdims=True)
+        s2 = (gxhat * xhat).sum(axis=(0, 2, 3), keepdims=True)
+        gx = (inv[None, :, None, None] / m) * (m * gxhat - s1 - xhat * s2)
+    else:
+        gx = gxhat * inv[None, :, None, None]
+    return gx, (g * xhat).sum(axis=(0, 2, 3)), g.sum(axis=(0, 2, 3))
+
+
+def ohem_two_softmax(x, labels, threshold, min_kept, ignore_index=255):
+    """Hard-example cross-entropy and its gradient for a unit upstream
+    gradient, with the mining softmax and the loss's log-sum-exp each
+    computed from scratch. `x` is (n, k, h, w) logits."""
+    valid = labels != ignore_index
+    n_valid = int(valid.sum())
+    keep = valid
+    if n_valid and threshold < 1.0:
+        z = x - x.max(axis=1, keepdims=True)
+        p = np.exp(z)
+        p /= p.sum(axis=1, keepdims=True)
+        safe = np.where(valid, labels, 0)[:, None]
+        p_true = np.take_along_axis(p, safe, axis=1)[:, 0]
+        keep = valid & (p_true < threshold)
+        min_kept = min(min_kept, n_valid)
+        if int(keep.sum()) < min_kept:
+            score = np.where(valid, p_true, np.inf).ravel()
+            idx = np.argpartition(score, min_kept - 1)[:min_kept]
+            keep = np.zeros(labels.shape, dtype=bool)
+            keep.ravel()[idx] = True
+    safe = np.where(keep, labels, 0)[:, None]
+    z = x - x.max(axis=1, keepdims=True)
+    lse = np.log(np.exp(z).sum(axis=1, keepdims=True))
+    nll = lse[:, 0] - np.take_along_axis(z, safe, axis=1)[:, 0]
+    count = max(int(keep.sum()), 1)
+    loss = (nll * keep).sum() / count
+    p = np.exp(z - lse)
+    taken = np.take_along_axis(p, safe, axis=1) - 1.0
+    np.put_along_axis(p, safe, taken, axis=1)
+    p *= (keep / count)[:, None] * 1.0
+    return loss, p
+
+
+def boundary_target_one_hot(labels, factor):
+    """Tile-majority boundary target: per-class counts from a one-hot
+    comparison, first maximum wins, then any differing 8-neighbour."""
+    n, h, w = labels.shape
+    k = int(labels.max()) + 1
+    th, tw = h // factor, w // factor
+    tiles = labels.reshape(n, th, factor, tw, factor).transpose(0, 1, 3, 2, 4)
+    tiles = tiles.reshape(n, th, tw, factor * factor)
+    majority = (tiles[..., None] == np.arange(k)).sum(axis=3).argmax(axis=3)
+    edge = np.zeros(majority.shape, dtype=bool)
+    for y in range(th):
+        for x in range(tw):
+            for yy in range(max(y - 1, 0), min(y + 2, th)):
+                for xx in range(max(x - 1, 0), min(x + 2, tw)):
+                    edge[:, y, x] |= majority[:, yy, xx] != majority[:, y, x]
+    return edge.astype(np.float64)[:, None]
+
+
 def avg_pool_naive(x, kernel, stride, padding):
     """Window-enumeration average pooling, divisor = valid cells only."""
     n, c, h, w = x.shape

@@ -460,6 +460,29 @@ class TestEvalInfer:
         assert "batch_size must be >= 1" in captured.err
         assert "miou" not in captured.out
 
+    @pytest.mark.parametrize("argv, fault", [
+        (["train", "--val-count", "-1"], "--val-count must be >= 0, got -1"),
+        (["eval", "--batch", "0"], "--batch 0: batch_size must be >= 1"),
+        (["eval", "--batch", "-1"], "--batch -1: batch_size must be >= 1"),
+        (["infer", "--overlay", "1.5"], "--overlay must be in [0, 1], got 1.5"),
+        (["infer", "--overlay", "-0.1"], "--overlay must be in [0, 1], got -0.1"),
+        (["infer", "--overlay", "nan"], "--overlay must be in [0, 1], got nan"),
+    ], ids=["val-count", "batch-0", "batch-neg", "overlay-high", "overlay-neg",
+            "overlay-nan"])
+    def test_bad_flag_exits_2_before_any_file_is_read(self, tmp_path, capsys,
+                                                      argv, fault):
+        # every path is missing: a flag checked after the first read would
+        # exit 4 for the file instead
+        missing = str(tmp_path / "missing")
+        paths = {"train": ["--data", missing, "--out", str(tmp_path / "run")],
+                 "eval": ["--ckpt", missing, "--data", missing],
+                 "infer": ["--ckpt", missing, "--image", missing,
+                           "--out", str(tmp_path / "seg.ppm")]}[argv[0]]
+        rc = main([argv[0], "--config", missing, *paths, *argv[1:]])
+        assert rc == 2
+        assert f"config error: {fault}" in capsys.readouterr().err
+        assert os.listdir(tmp_path) == []
+
     def test_infer_writes_ppm(self, trained, tmp_path, capsys):
         data, cfg, ckpt = trained
         image = os.path.join(data, "img_00000.ppm")

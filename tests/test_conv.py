@@ -10,8 +10,9 @@ import lka_seg.engine as E
 from lka_seg.context import POOL_SCALES
 from helpers import gradcheck, sum_all
 from oracles import (avg_pool_naive, avg_pool_naive_grad, conv2d_naive,
-                     conv2d_naive_grads, depthwise_tap_loop,
-                     depthwise_tap_loop_grads, expand_kernel, rel_err)
+                     conv2d_naive_grads, dense_input_grad_scatter,
+                     depthwise_tap_loop, depthwise_tap_loop_grads, expand_kernel,
+                     rel_err, scatter_tap_grads)
 
 
 def test_scalar_product():
@@ -568,9 +569,11 @@ def test_strided_depthwise_grads_match_naive():
      False),
     (lambda x: E.conv2d(x, E.Tensor(np.ones((3, 1, 3, 3))), stride=2, groups=3),
      True),
-    (lambda x: E.conv2d(x, E.Tensor(np.ones((2, 3, 3, 3))), padding=1), True),
+    (lambda x: E.conv2d(x, E.Tensor(np.ones((2, 3, 3, 3))), padding=1), False),
+    (lambda x: E.conv2d(x, E.Tensor(np.ones((2, 3, 3, 3))), stride=2, padding=1),
+     True),
     (lambda x: E.avg_pool(x, 3, 2, 1), True),
-], ids=["depthwise", "strided-depthwise", "dense", "avg-pool"])
+], ids=["depthwise", "strided-depthwise", "dense", "strided-dense", "avg-pool"])
 def test_which_backwards_scatter_taps(op, scatters, monkeypatch):
     calls = []
     scatter = E._scatter_taps
@@ -579,6 +582,51 @@ def test_which_backwards_scatter_taps(op, scatters, monkeypatch):
     sum_all(op(x)).backward()
     assert x.grad is not None
     assert bool(calls) == scatters
+
+
+def _signed_spread(rng, shape, zeros=0.2):
+    """Normal draws over 12 decades, with +0.0 and -0.0 entries."""
+    v = rng.normal(size=shape) * 10.0 ** rng.integers(-6, 6, size=shape)
+    v[rng.random(shape) < zeros] = 0.0
+    v[rng.random(shape) < zeros] = -0.0
+    return v
+
+
+@pytest.mark.parametrize("gather", [True, False], ids=["gather", "tap-loop"])
+@pytest.mark.parametrize("geometry", [g for g in MODEL_CONVS
+                                      if g[1] == (1, 1) and not g[4]])
+def test_dense_input_grad_matches_scatter_bytes(geometry, gather, monkeypatch):
+    # both sides of the size rule give the scatter's bytes, signed zeros too
+    kernel, _, padding, dilation, _ = geometry
+    monkeypatch.setattr(E, "_DENSE_GATHER_MAX", 1 << 30 if gather else 0)
+    rng = np.random.default_rng(35)
+    for (h, wd), n in itertools.product([(1, 1), (2, 2), (4, 4), (8, 8), (5, 3)],
+                                        (1, 4)):
+        x = E.Parameter(rng.normal(size=(n, 3, h, wd)))
+        w = _signed_spread(rng, (4, 3, *kernel), zeros=0.1)
+        out = E.conv2d(x, E.Tensor(w), padding=padding, dilation=dilation)
+        g = _signed_spread(rng, out.shape)
+        sum_all(E.mul(out, E.Tensor(g))).backward()
+        want = dense_input_grad_scatter(w, g, x.shape, padding, dilation)
+        assert x.grad.tobytes() == want.tobytes(), (h, wd, n)
+
+
+@pytest.mark.parametrize("gather", [True, False], ids=["gather", "tap-loop"])
+@pytest.mark.parametrize("geometry", [g for g in MODEL_CONVS
+                                      if g[1] == (1, 1) and not g[4]])
+def test_dense_tap_sum_keeps_signed_zeros(geometry, gather, monkeypatch):
+    # OpenBLAS returns no -0.0 from the matmul, so feed the per-tap
+    # gradients directly: a cell whose every read is -0.0 stays +0.0
+    kernel, _, padding, dilation, _ = geometry
+    monkeypatch.setattr(E, "_DENSE_GATHER_MAX", 1 << 30 if gather else 0)
+    rng = np.random.default_rng(36)
+    for (h, wd), n in itertools.product([(1, 1), (2, 2), (4, 4), (5, 3)], (1, 4)):
+        oh, ow = E._out_hw(h, wd, kernel, (1, 1), padding, dilation)
+        taps = _signed_spread(rng, (n, 3, *kernel, oh, ow), zeros=0.3)
+        taps[:, 1] = -0.0
+        got = E._dense_input_grad(taps, (h, wd), dilation, padding)
+        want = scatter_tap_grads(taps, (n, 3, h, wd), padding, dilation)
+        assert got.tobytes() == want.tobytes(), (h, wd, n)
 
 
 def _pointwise_im2col(x, w, groups):

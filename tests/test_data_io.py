@@ -267,6 +267,17 @@ class TestCheckpoint:
         save_checkpoint(model, p2)
         assert p1.read_bytes() == p2.read_bytes()
 
+    def test_bytes_are_pinned(self, tmp_path):
+        # the file format byte for byte, running statistics included: a
+        # rewrite of the writer must keep every one
+        model = build_model(SMALL_MODEL, seed=4)
+        for i, (_, buf) in enumerate(model.named_buffers()):
+            buf += 0.25 * i
+        path = tmp_path / "m.ckpt"
+        save_checkpoint(model, path)
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == (
+            "848fc28875b2c50e5a67f9725902a19b0729bea79dff2231ad3eaaa82fcf2cc3")
+
     def test_corrupted_payload_fails_crc(self, tmp_path):
         model = build_model(SMALL_MODEL, seed=4)
         path = tmp_path / "m.ckpt"

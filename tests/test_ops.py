@@ -5,7 +5,8 @@ import pytest
 
 import lka_seg.engine as E
 from helpers import sum_all
-from oracles import avg_pool_naive, bilinear_naive, gelu_naive, rel_err
+from oracles import (avg_pool_naive, batch_norm_grads_plain, bilinear_naive,
+                     gelu_naive, rel_err)
 
 
 class TestAvgPool:
@@ -117,6 +118,28 @@ class TestBatchNorm:
                 want = (gamma[None, :, None, None] * xhat
                         + beta[None, :, None, None])
                 assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("mode", ["train", "eval"])
+    @pytest.mark.parametrize("shape", [
+        (1, 3, 7, 5), (4, 16, 1, 1), (4, 64, 2, 2), (4, 48, 8, 8),
+        (2, 16, 32, 32), (3, 5, 64, 48)])
+    def test_backward_bytes_match_the_plain_expression(self, shape, mode):
+        # pins the in-place backward to the one-expression form
+        rng = np.random.default_rng(sum(shape))
+        c = shape[1]
+        for _ in range(3):
+            scale = 10.0 ** rng.uniform(-6, 6, size=c)[None, :, None, None]
+            x = (rng.normal(size=shape) + rng.normal(size=c)[None, :, None, None]
+                 * 5.0) * scale
+            gamma = rng.normal(size=c) * 10.0 ** rng.uniform(-3, 3, size=c)
+            g = rng.normal(size=shape) * 10.0 ** rng.uniform(-6, 6, size=shape)
+            rm, rv = rng.normal(size=c), rng.uniform(0.1, 10.0, size=c)
+            want = batch_norm_grads_plain(x, gamma, g, mode, rm, rv)
+            xt, gt, bt = E.Parameter(x), E.Parameter(gamma), E.Parameter(np.zeros(c))
+            out = E.batch_norm(xt, gt, bt, rm.copy(), rv.copy(), mode)
+            sum_all(E.mul(out, E.Tensor(g))).backward()
+            for got, ref in zip((xt.grad, gt.grad, bt.grad), want):
+                assert got.tobytes() == ref.tobytes()
 
     def test_channel_mismatch(self):
         with pytest.raises(ValueError, match="channel axis"):

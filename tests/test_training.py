@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 import lka_seg.engine as E
+from lka_seg import data_io
 from lka_seg import model as model_module
 from lka_seg import training
 from lka_seg.data_io import SynthSpec, save_checkpoint, synth_dataset
@@ -30,7 +31,8 @@ from lka_seg.training import (
     poly_lr,
     train_model,
 )
-from oracles import cross_entropy_naive, rel_err
+from oracles import (boundary_target_one_hot, cross_entropy_naive,
+                     ohem_two_softmax, rel_err)
 
 
 @pytest.fixture
@@ -141,6 +143,30 @@ class TestOhem:
         labels[0, 0, :] = 255
         loss = ohem_cross_entropy(logits, labels, OhemConfig(0.5, 10 ** 6))
         assert np.isfinite(loss.item())
+
+    @pytest.mark.parametrize("threshold, min_kept, ignored", [
+        (1.0, 1, 0.0),        # no mining: every valid pixel
+        (0.7, 1, 0.0),        # hard pixels only
+        (0.05, 40, 0.0),      # fewer hard pixels than min_kept: argpartition
+        (0.7, 1, 1.0),        # an all-ignored batch
+        (0.7, 1, 0.3),        # ignored pixels among kept ones
+        (0.05, 40, 0.3),
+    ], ids=["threshold-1", "hard", "min-kept", "all-ignored", "ignored-kept",
+            "ignored-min-kept"])
+    def test_bytes_match_two_softmax_form(self, threshold, min_kept, ignored):
+        # the mining softmax and the loss share z and its exp-sum; the loss
+        # and gradient must keep the bytes of computing each from scratch
+        rng = np.random.default_rng(int(threshold * 100) + min_kept)
+        for _ in range(8):
+            x = rng.normal(size=(2, 5, 6, 7)) * 10.0 ** rng.uniform(-2, 1.5)
+            labels = rng.integers(0, 5, size=(2, 6, 7))
+            labels[rng.random(labels.shape) < ignored] = 255
+            logits = E.Parameter(x)
+            loss = ohem_cross_entropy(logits, labels, OhemConfig(threshold, min_kept))
+            loss.backward()
+            want_loss, want_grad = ohem_two_softmax(x, labels, threshold, min_kept)
+            assert loss.data.tobytes() == np.asarray(want_loss).tobytes()
+            assert logits.grad.tobytes() == want_grad.tobytes()
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
@@ -501,6 +527,24 @@ class TestBoundaryTarget:
         np.testing.assert_array_equal(boundary_target_at_scale(labels, 4)[0, 0],
                                       expected)
 
+    @pytest.mark.parametrize("factor", range(1, 9))
+    def test_bytes_match_one_hot_counts(self, factor):
+        # ties go to the first class with the most pixels, as with argmax
+        # over one-hot counts
+        rng = np.random.default_rng(factor)
+        for th, tw, k in ((3, 5, 5), (4, 4, 2), (2, 7, 1), (5, 2, 3)):
+            labels = rng.integers(0, k, size=(3, th * factor, tw * factor))
+            labels[rng.random(labels.shape) < 0.05] = 255
+            for lab in (labels, np.where(labels == 255, 0, labels)):
+                want = boundary_target_one_hot(lab, factor)
+                assert boundary_target_at_scale(lab, factor).tobytes() == want.tobytes()
+
+    def test_negative_label_rejected(self):
+        labels = np.zeros((1, 8, 8), np.int64)
+        labels[0, 5, 5] = -1
+        with pytest.raises(ValueError, match="labels must be >= 0, got -1"):
+            boundary_target_at_scale(labels, 4)
+
     def test_not_divisible_rejected(self):
         with pytest.raises(ValueError, match="not divisible by 8"):
             boundary_target_at_scale(np.zeros((1, 12, 16), np.int64), 8)
@@ -535,6 +579,23 @@ class TestCheckpointWrites:
                 == (tmp_path / "expected.ckpt").read_bytes())
         assert sorted(os.listdir(tmp_path)) == [
             "best.ckpt", "expected.ckpt", "last.ckpt", "metrics.csv"]
+
+    def test_improving_epoch_writes_one_serialization(self, tmp_path, monkeypatch):
+        # best.ckpt is a byte copy of last.ckpt, not a second save
+        saves = []
+        real = data_io.save_checkpoint
+        monkeypatch.setattr(data_io, "save_checkpoint",
+                            lambda model, path: saves.append(path) or real(model, path))
+        model = build_model(TINY_MODEL, seed=0)
+        data = tiny_data(6)
+        # epoch 0 always improves on no score at all
+        train_model(model, data[:4], data[4:], dataclasses.replace(self.CFG, epochs=1),
+                    out_dir=str(tmp_path))
+        assert len(saves) == 1
+        real(model, tmp_path / "expected.ckpt")
+        expected = (tmp_path / "expected.ckpt").read_bytes()
+        assert (tmp_path / "best.ckpt").read_bytes() == expected
+        assert (tmp_path / "last.ckpt").read_bytes() == expected
 
     @pytest.mark.parametrize("epochs", [1, 3])
     def test_rename_failure_raises(self, tmp_path, epochs):
