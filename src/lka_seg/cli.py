@@ -58,15 +58,23 @@ def _section(where, doc, defaults):
     return dict(doc)
 
 
-def load_config(path, overrides=None):
-    """Parse and validate a run configuration JSON file."""
+def _read_json(path):
+    """The JSON document in `path`; `ConfigError` naming the file if it
+    does not decode."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
+            return json.load(fh)
     except json.JSONDecodeError as err:
         raise ConfigError(f"{path}: invalid JSON ({err})") from err
     except UnicodeDecodeError as err:
         raise ConfigError(f"{path}: not UTF-8 text ({err})") from err
+    except RecursionError as err:
+        raise ConfigError(f"{path}: invalid JSON (nested too deeply)") from err
+
+
+def load_config(path, overrides=None):
+    """Parse and validate a run configuration JSON file."""
+    doc = _read_json(path)
     if not isinstance(doc, dict):
         raise ConfigError(f"{path}: top level must be an object")
     unknown = set(doc) - {"version", "model", "train"}
@@ -122,14 +130,7 @@ def _build_from_args(args):
 def cmd_synth_data(args):
     spec_doc = {}
     if args.spec:
-        try:
-            with open(args.spec, "r", encoding="utf-8") as fh:
-                doc = json.load(fh)
-        except json.JSONDecodeError as err:
-            raise ConfigError(f"{args.spec}: invalid JSON ({err})") from err
-        except UnicodeDecodeError as err:
-            raise ConfigError(f"{args.spec}: not UTF-8 text ({err})") from err
-        spec_doc = _section(args.spec, doc, _SPEC_DEFAULTS)
+        spec_doc = _section(args.spec, _read_json(args.spec), _SPEC_DEFAULTS)
     # explicit flags override the spec file, which overrides SynthSpec's defaults
     flags = dict(
         seed=args.seed, count=args.count, height=args.height, width=args.width,
@@ -216,6 +217,9 @@ def _print_report(report, fmt):
 
 
 def cmd_flops(args):
+    if args.size < 1 or args.size % 64:
+        raise ConfigError(
+            f"--size must be positive and divisible by 64, got {args.size}")
     model, _, _ = _build_from_args(args)
     shape = (1, 3, args.size, args.size)
     report = analysis.count_flops(model, shape)

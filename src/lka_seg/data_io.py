@@ -383,7 +383,7 @@ def save_checkpoint(model, path):
     """Serialize the parameter tree (plus running stats) bit-exactly.
 
     The file is joined in one copy; the CRC runs over the entries as they
-    are appended.
+    are appended. Returns the bytes written.
     """
     manifest = bytearray()
     arrays = []
@@ -400,8 +400,10 @@ def save_checkpoint(model, path):
         arrays.append(data)
         offset += arr.size
     head = CHECKPOINT_MAGIC + struct.pack("<II", CHECKPOINT_VERSION, len(arrays))
-    _atomic_write(path, b"".join([head, manifest, struct.pack("<Q", 8 * offset),
-                                  *arrays, struct.pack("<I", crc)]))
+    blob = b"".join([head, manifest, struct.pack("<Q", 8 * offset),
+                     *arrays, struct.pack("<I", crc)])
+    _atomic_write(path, blob)
+    return blob
 
 
 def load_checkpoint(path):

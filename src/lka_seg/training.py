@@ -31,8 +31,6 @@ from __future__ import annotations
 import csv
 import io
 import os
-import shutil
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -424,32 +422,23 @@ def history_csv(history):
     return buf.getvalue()
 
 
-def _land(staged):
-    """Rename each (staged, final) pair into place, in order."""
-    for src, dst in staged:
-        os.replace(src, dst)
-
-
 def train_model(model, train_data, val_data, cfg: TrainConfig, out_dir=None,
                 log=None):
     """Run the full loop; returns the per-epoch metric history.
 
-    When `out_dir` is given, writes metrics.csv plus best.ckpt/last.ckpt
-    (best by validation mIoU). Each epoch serializes the model once, to
-    `last.ckpt.staged`; an epoch that improves the best score copies that
-    file to `best.ckpt.staged`. A background thread renames the staged
-    files into place, so the training steps do not wait on the file
-    system. All
-    three files are on disk when this returns. A failed checkpoint write
-    raises `OSError` no later than the next epoch's save or the return;
-    on any error, the checkpoints of earlier epochs are in place when it
-    propagates. Aborts with `NumericalAbort` when a step's model outputs,
-    loss or parameter gradients, or the epoch's validation outputs, are
-    not finite, naming the first non-finite parameter or gradient and,
-    from a re-run with per-op checks armed, the first op that made a
-    non-finite value and its module path.
+    When `out_dir` is given, each epoch writes, in order: `last.ckpt`;
+    `best.ckpt` when its validation mIoU is at least the best so far; and
+    `metrics.csv`, the history up to that epoch. Each file goes through a
+    temp file and a rename, and the model is serialized once per epoch:
+    `best.ckpt` gets the bytes of `last.ckpt`. A failed write raises
+    `OSError` in the epoch that made it; on any error, the files of earlier
+    epochs are in place when it propagates. Aborts with `NumericalAbort`
+    when a step's model outputs, loss or parameter gradients, or the
+    epoch's validation outputs, are not finite, naming the first non-finite
+    parameter or gradient and, from a re-run with per-op checks armed, the
+    first op that made a non-finite value and its module path.
     """
-    from .data_io import save_checkpoint
+    from .data_io import _atomic_write, save_checkpoint
 
     cfg.validate()
     if not train_data:
@@ -467,73 +456,56 @@ def train_model(model, train_data, val_data, cfg: TrainConfig, out_dir=None,
     if out_dir:
         os.makedirs(out_dir, exist_ok=True)
 
-    with ThreadPoolExecutor(max_workers=1) as renames:
-        landing = None
-        for epoch in range(cfg.epochs):
-            perm = rng.permutation(n)
-            epoch_loss = 0.0
-            lr = cfg.base_lr
-            for s in range(steps):
-                idx = perm[s * cfg.batch_size:(s + 1) * cfg.batch_size]
-                images, labels = _collate([train_data[i] for i in idx])
-                images, labels = _augment(images, labels, rng)
-                lr = poly_lr(cfg.base_lr, it, max_iter)
+    for epoch in range(cfg.epochs):
+        perm = rng.permutation(n)
+        epoch_loss = 0.0
+        lr = cfg.base_lr
+        for s in range(steps):
+            idx = perm[s * cfg.batch_size:(s + 1) * cfg.batch_size]
+            images, labels = _collate([train_data[i] for i in idx])
+            images, labels = _augment(images, labels, rng)
+            lr = poly_lr(cfg.base_lr, it, max_iter)
 
-                culprit = None
-                try:
-                    loss_val = _train_step(model, images, labels)
-                    culprit = _first_nonfinite(model)
-                    if culprit or not np.isfinite(loss_val):
-                        # re-run the step with per-op checks to name the op;
-                        # stale gradients would be blamed on the first op
-                        # that adds to them
-                        opt.zero_grad()
-                        locate_nonfinite(
-                            model, lambda: _train_step(model, images, labels),
-                            "gradient" if culprit else "loss")
-                except E.NonFiniteError as err:
-                    raise _numerical_abort(model, f"at iteration {it}", err,
-                                           culprit) from err
-                opt.step(lr)
-                opt.zero_grad()
-                epoch_loss += loss_val
-                it += 1
-
+            culprit = None
             try:
-                _, val_miou = evaluate(model, val_data, k) if val_data else (None, 0.0)
+                loss_val = _train_step(model, images, labels)
+                culprit = _first_nonfinite(model)
+                if culprit or not np.isfinite(loss_val):
+                    # re-run the step with per-op checks to name the op;
+                    # stale gradients would be blamed on the first op
+                    # that adds to them
+                    opt.zero_grad()
+                    locate_nonfinite(
+                        model, lambda: _train_step(model, images, labels),
+                        "gradient" if culprit else "loss")
             except E.NonFiniteError as err:
-                # the last step's update can overflow the weights without
-                # making its own loss or gradients non-finite
-                raise _numerical_abort(
-                    model, f"in the validation after epoch {epoch}", err) from err
-            row = {"epoch": epoch, "loss": epoch_loss / steps, "miou": val_miou,
-                   "lr": lr}
-            history.append(row)
-            if log:
-                log(f"epoch={epoch} loss={row['loss']:.6f} "
-                    f"miou={row['miou']:.6f} lr={row['lr']:.6g}")
-            if out_dir:
-                # A rename onto an existing file can wait on writeback; it
-                # runs behind the next epoch. Both files are staged before
-                # either rename starts, so no write here waits on it.
-                if landing:
-                    landing.result()
-                last = os.path.join(out_dir, "last.ckpt")
-                save_checkpoint(model, last + ".staged")
-                staged = [(last + ".staged", last)]
-                if val_miou >= best:
-                    # the same model: copy the bytes rather than serialize twice
-                    best = val_miou
-                    best_path = os.path.join(out_dir, "best.ckpt")
-                    shutil.copyfile(last + ".staged", best_path + ".staged")
-                    staged.insert(0, (best_path + ".staged", best_path))
-                landing = renames.submit(_land, staged)
-        if landing:
-            landing.result()
+                raise _numerical_abort(model, f"at iteration {it}", err,
+                                       culprit) from err
+            opt.step(lr)
+            opt.zero_grad()
+            epoch_loss += loss_val
+            it += 1
 
-    if out_dir:
-        tmp = os.path.join(out_dir, "metrics.csv.tmp")
-        with open(tmp, "w", encoding="ascii", newline="") as fh:
-            fh.write(history_csv(history))
-        os.replace(tmp, os.path.join(out_dir, "metrics.csv"))
+        try:
+            _, val_miou = evaluate(model, val_data, k) if val_data else (None, 0.0)
+        except E.NonFiniteError as err:
+            # the last step's update can overflow the weights without
+            # making its own loss or gradients non-finite
+            raise _numerical_abort(
+                model, f"in the validation after epoch {epoch}", err) from err
+        row = {"epoch": epoch, "loss": epoch_loss / steps, "miou": val_miou,
+               "lr": lr}
+        history.append(row)
+        if log:
+            log(f"epoch={epoch} loss={row['loss']:.6f} "
+                f"miou={row['miou']:.6f} lr={row['lr']:.6g}")
+        if out_dir:
+            blob = save_checkpoint(model, os.path.join(out_dir, "last.ckpt"))
+            if val_miou >= best:
+                best = val_miou
+                _atomic_write(os.path.join(out_dir, "best.ckpt"), blob)
+            # kept through the next epoch, it would add its size to peak memory
+            del blob
+            _atomic_write(os.path.join(out_dir, "metrics.csv"),
+                          history_csv(history).encode("ascii"))
     return history

@@ -396,6 +396,23 @@ class TestTrain:
         err = capsys.readouterr().err
         assert err.startswith(f"config error: {cfg}: not UTF-8 text"), err
 
+    @pytest.mark.parametrize("text", ['{"version": 1, "model": {', "[" * 200_000],
+                             ids=["truncated", "deep"])
+    @pytest.mark.parametrize("flag", ["--config", "--spec"])
+    def test_undecodable_json_exits_2_naming_file(self, tmp_path, capsys, flag,
+                                                  text):
+        bad = tmp_path / "bad.json"
+        bad.write_text(text)
+        out = tmp_path / "out"
+        if flag == "--config":
+            argv = ["train", "--config", str(bad), "--data", str(tmp_path / "data"),
+                    "--out", str(out)]
+        else:
+            argv = ["synth-data", "--spec", str(bad), "--out", str(out)]
+        assert main(argv) == 2
+        assert f"config error: {bad}: invalid JSON" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("count", ["-1", "-8"])
     def test_negative_val_count_exits_2(self, tmp_path, capsys, count):
         data = synth(tmp_path, count=8, classes=3)
@@ -467,8 +484,11 @@ class TestEvalInfer:
         (["infer", "--overlay", "1.5"], "--overlay must be in [0, 1], got 1.5"),
         (["infer", "--overlay", "-0.1"], "--overlay must be in [0, 1], got -0.1"),
         (["infer", "--overlay", "nan"], "--overlay must be in [0, 1], got nan"),
+        (["flops", "--size", "0"], "--size must be positive and divisible by 64, got 0"),
+        (["flops", "--size", "65"],
+         "--size must be positive and divisible by 64, got 65"),
     ], ids=["val-count", "batch-0", "batch-neg", "overlay-high", "overlay-neg",
-            "overlay-nan"])
+            "overlay-nan", "size-0", "size-65"])
     def test_bad_flag_exits_2_before_any_file_is_read(self, tmp_path, capsys,
                                                       argv, fault):
         # every path is missing: a flag checked after the first read would
@@ -477,7 +497,8 @@ class TestEvalInfer:
         paths = {"train": ["--data", missing, "--out", str(tmp_path / "run")],
                  "eval": ["--ckpt", missing, "--data", missing],
                  "infer": ["--ckpt", missing, "--image", missing,
-                           "--out", str(tmp_path / "seg.ppm")]}[argv[0]]
+                           "--out", str(tmp_path / "seg.ppm")],
+                 "flops": []}[argv[0]]
         rc = main([argv[0], "--config", missing, *paths, *argv[1:]])
         assert rc == 2
         assert f"config error: {fault}" in capsys.readouterr().err

@@ -610,8 +610,8 @@ class TestCheckpointWrites:
             train_model(model, data, data, cfg, out_dir=str(tmp_path),
                         log=lines.append)
         assert threading.active_count() == threads
-        # epoch 0's failed write surfaces no later than epoch 1's save
-        assert len(lines) <= 2
+        # epoch 0's failed write raises in epoch 0
+        assert len(lines) == 1
 
     @pytest.mark.filterwarnings("ignore:invalid value encountered")
     def test_abort_leaves_earlier_checkpoints(self, tmp_path):
@@ -632,3 +632,7 @@ class TestCheckpointWrites:
         assert (tmp_path / "best.ckpt").read_bytes() == expected
         assert (tmp_path / "last.ckpt").read_bytes() == expected
         assert not list(tmp_path.glob("*.staged")) and not list(tmp_path.glob("*.tmp"))
+        # the history of every epoch whose checkpoints are on disk
+        lines = (tmp_path / "metrics.csv").read_text().splitlines()
+        assert len(lines) == 2
+        assert lines[0] == "epoch,loss,miou,lr" and lines[1].startswith("0,")
