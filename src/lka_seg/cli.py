@@ -301,7 +301,8 @@ def build_parser():
         p.add_argument("--config", required=True)
         if name != "params":
             p.add_argument("--format", choices=("table", "csv"), default="table")
-        p.add_argument("--ppm", choices=("dappm", "dlkppm"))
+        if name != "rf":   # the RF paths are the same chains for either pyramid
+            p.add_argument("--ppm", choices=("dappm", "dlkppm"))
         if name == "flops":
             p.add_argument("--size", type=int, default=64)
         p.set_defaults(func=func)

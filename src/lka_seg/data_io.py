@@ -11,11 +11,13 @@ head's target from the labels.
 File formats are chosen for bit-exactness: binary PPM (P6) / PGM (P5)
 images with maxval 255, and a little-endian binary checkpoint with the
 magic "LKAS", a named manifest, a float64 payload and a trailing CRC32.
-All writes go through a temp file plus rename.
+All writes go through a temp file plus rename; a failed write or rename
+removes its temp file before the error propagates.
 """
 
 from __future__ import annotations
 
+import contextlib
 import math
 import os
 import struct
@@ -187,9 +189,14 @@ def synth_dataset(spec: SynthSpec):
 
 def _atomic_write(path, payload):
     tmp = f"{path}.tmp"
-    with open(tmp, "wb") as fh:
-        fh.write(payload)
-    os.replace(tmp, path)
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(payload)
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(OSError):   # the write's own error is raised
+            os.remove(tmp)
+        raise
 
 
 def _parse_netpbm(raw, magic, path):

@@ -6,10 +6,12 @@ im2col-style contraction, no FFT/Winograd), cross-correlation convention,
 zero padding. Convolution and pooling share one geometry: the input is
 copied once into a zero-filled buffer of the padded shape (`_pad`), and
 every kernel tap is read through one read-only strided view of that
-buffer (`_windows`, `_tap_view`). Strided dense and grouped convs,
-strided depthwise convs and pooling add each tap's gradient back through
-the same slices (`_scatter_taps`); every stride-1 conv gathers its input
-gradient instead, as below.
+buffer (`_tap_view`). Strided dense and grouped convs, strided depthwise
+convs and pooling add each tap's gradient back onto the unpadded input,
+one clipped strided slice per tap (`_scatter_taps`); every stride-1 conv
+gathers its input gradient instead, as below. No backward keeps the
+padded copy of a dense conv or pool: the im2col columns are their own
+copy, and the scatter needs only the input's shape.
 
 `conv2d` has two contraction paths. A depthwise conv (groups = c_in =
 c_out) sums each output cell's tap products in row-major tap order,
@@ -35,8 +37,8 @@ reaching each tap. At stride 1 each input cell then adds those at
 (y + ph - i*dh, x + pw - j*dw) over the live taps, in row-major order from
 +0.0 (`_dense_input_grad`), the scatter's sums again: on small maps as one
 copy of the reversed-stride view and one reduction over the tap axis,
-otherwise one tap at a time. A 1x1 unpadded conv's input gradient is its
-gradient columns plus 0.0, the scatter's 0.0 + v in one op.
+otherwise through `_scatter_taps` itself. A 1x1 unpadded conv's input
+gradient is its gradient columns plus 0.0, the scatter's 0.0 + v in one op.
 
 Taps that read only padding are skipped (`_live_taps`): a dilated strip
 on a small map reaches far past its border, and such a tap would add
@@ -603,25 +605,6 @@ def _embed(arr, size, at, last):
     return buf
 
 
-def _windows(xp, kernel, stride, dilation):
-    """Read-only strided view (n, c, oh, ow, kh, kw) of every kernel tap. No copy.
-
-    `xp` is the padded input, `_pad`'s output: its memory must be one
-    contiguous block (C or Fortran order), because the view is built on
-    its buffer (`as_strided` costs twice as much per call). Tap
-    (i, j) of output (y, x) reads xp[..., y * sh + i * dh, x * sw + j * dw];
-    the view's strides are built from `xp`'s own.
-    """
-    n, c, hp, wp = xp.shape
-    oh, ow = _out_hw(hp, wp, kernel, stride, (0, 0), dilation)
-    s0, s1, s2, s3 = xp.strides
-    (sh, sw), (dh, dw) = stride, dilation
-    win = np.ndarray((n, c, oh, ow, *kernel), xp.dtype, xp,
-                     strides=(s0, s1, s2 * sh, s3 * sw, s2 * dh, s3 * dw))
-    win.flags.writeable = False
-    return win
-
-
 @lru_cache(maxsize=None)
 def _live_taps(size, kernel, stride, padding, dilation, out):
     """Kernel tap rows and columns that read at least one input cell.
@@ -641,28 +624,42 @@ def _live_taps(size, kernel, stride, padding, dilation, out):
     return tuple(spans)
 
 
-def _scatter_taps(xp, tap_grad, kernel, stride, dilation, padding):
-    """Adjoint of `_windows` over `_pad`: the gradient w.r.t. the unpadded input.
+def _in_bounds(start, count, step, size):
+    """Reads start + y*step (y < count) that land in [0, size), per axis.
 
-    Adds `tap_grad(i, j)`, the (n, c, oh, ow) gradient reaching tap (i, j),
-    onto a zero grid laid out like the padded input `xp`, live taps in
-    row-major order, then crops the padding. A dead tap would add only to
-    the cropped border, so it is skipped.
+    Returns (input slice, output slice), or None when every read misses.
     """
+    lo = max(0, -(start // step))                # ceil(-start / step)
+    hi = min(count, -((start - size) // step))   # ceil((size - start) / step)
+    if lo >= hi:
+        return None
+    return slice(start + lo * step, start + hi * step, step), slice(lo, hi)
+
+
+def _scatter_taps(shape, tap_grad, kernel, stride, dilation, padding):
+    """Input gradient (n, c, h, w) of a tap view, C-contiguous.
+
+    The adjoint of `_tap_view` over `_pad`: `tap_grad(i, j)`, the
+    (n, c, oh, ow) gradient reaching tap (i, j), goes back to the input
+    cells the tap read. Per axis, output y of tap i read input cell
+    i*d - p + y*s. On a zero grid of `shape`, the live taps add, in
+    row-major order, the in-bounds part of their gradient through one
+    clipped strided slice each, so every cell sums its taps in that order
+    from +0.0. Reads of the padding have no cell and are dropped, as is a
+    live tap that steps over every cell (stride > size).
+    """
+    n, c, h, w = shape
     (sh, sw), (dh, dw), (ph, pw) = stride, dilation, padding
-    hp, wp = xp.shape[2:]
-    oh, ow = _out_hw(hp, wp, kernel, stride, (0, 0), dilation)
-    rows, cols = _live_taps((hp - 2 * ph, wp - 2 * pw), kernel, stride, padding,
-                            dilation, (oh, ow))
-    gxp = np.zeros_like(xp)
+    oh, ow = _out_hw(h, w, kernel, stride, padding, dilation)
+    rows, cols = _live_taps((h, w), kernel, stride, padding, dilation, (oh, ow))
+    xspans = [_in_bounds(j * dw - pw, ow, sw, w) for j in cols]
+    out = np.zeros(shape)
     for i in rows:
-        hs = slice(i * dh, i * dh + sh * oh, sh)
-        for j in cols:
-            ws = slice(j * dw, j * dw + sw * ow, sw)
-            gxp[:, :, hs, ws] += tap_grad(i, j)
-    if ph or pw:
-        return gxp[:, :, ph : hp - ph, pw : wp - pw]
-    return gxp
+        ys = _in_bounds(i * dh - ph, oh, sh, h)
+        for j, xs in zip(cols, xspans):
+            if ys and xs:
+                out[:, :, ys[0], xs[0]] += tap_grad(i, j)[:, :, ys[1], xs[1]]
+    return out
 
 
 def _dw_batched(taps, cells):
@@ -680,7 +677,11 @@ def _tap_view(buf, taps, out, origin, step, stride):
     holds one block per tap, and tap (a, b) reads block (a, b). `buf` is
     `_embed`'s or `_pad`'s output: C-contiguous, or a view of a
     C-contiguous channels-last block. The view is built on that block with
-    `np.ndarray`, which raises if any read would fall outside it.
+    `np.ndarray`, which raises if any read would fall outside it. With
+    origin (0, 0), the dilation as `step` and the kernel as `taps`, it is
+    every tap of a conv or pool over `_pad`'s buffer: the dense im2col and
+    the pool read it transposed to (n, c, th, tw, oh, ow) and
+    (n, c, oh, ow, th, tw).
     """
     k = buf.ndim - 4
     mem = buf if buf.flags.c_contiguous else buf.transpose(
@@ -743,16 +744,15 @@ def _dense_input_grad(taps, size, dilation, padding):
 
     `taps` (n, c, kh, kw, oh, ow) holds the gradient reaching each tap.
     Input cell (y, x) adds taps[:, :, i, j] at (y + ph - i*dh, x + pw - j*dw)
-    over the live taps, in row-major order, from +0.0: the products and
-    order of `_scatter_taps`, without its padded grid. While one tap's
-    zero-padded block (`_adjoint_view`) fits `_DENSE_GATHER_MAX`, every
-    block is copied out in one go and the taps are added with one reduction
-    over the tap axis; a read that lands in the padding adds +-0.0, which
-    cannot change a sum started from +0.0. Otherwise each tap's in-bounds
-    part is added onto the input's cells one tap at a time.
+    over the live taps, in row-major order, from +0.0, as `_scatter_taps`
+    does. While one tap's zero-padded block (`_adjoint_view`) fits
+    `_DENSE_GATHER_MAX`, every block is copied out in one go and the taps
+    are added with one reduction over the tap axis; a read that lands in
+    the padding adds +-0.0, which cannot change a sum started from +0.0.
+    A larger gradient is `_scatter_taps`'s.
     """
     n, c, kh, kw, oh, ow = taps.shape
-    (h, w), (dh, dw), (ph, pw) = size, dilation, padding
+    (h, w), (dh, dw) = size, dilation
     live = rows, cols = _live_taps(size, (kh, kw), (1, 1), padding, dilation, (oh, ow))
     th, tw = len(rows), len(cols)
     block = n * c * (h + (th - 1) * dh) * (w + (tw - 1) * dw)
@@ -763,16 +763,8 @@ def _dense_input_grad(taps, size, dilation, padding):
                              dilation, padding, last=False)
         return np.add.reduce(np.ascontiguousarray(view).reshape(th * tw, n, c, h, w),
                              axis=0, initial=0.0)
-    out = np.zeros((n, c, h, w))
-    for i in rows:
-        y0 = i * dh - ph   # input row of the tap's output row 0
-        ys = slice(max(y0, 0), min(y0 + oh, h))
-        for j in cols:
-            x0 = j * dw - pw
-            xs = slice(max(x0, 0), min(x0 + ow, w))
-            out[:, :, ys, xs] += taps[:, :, i, j, ys.start - y0 : ys.stop - y0,
-                                      xs.start - x0 : xs.stop - x0]
-    return out
+    return _scatter_taps((n, c, h, w), lambda i, j: taps[:, :, i, j], (kh, kw),
+                         (1, 1), dilation, padding)
 
 
 def conv2d(x, w, b=None, stride=1, padding=0, dilation=1, groups=1):
@@ -834,8 +826,8 @@ def conv2d(x, w, b=None, stride=1, padding=0, dilation=1, groups=1):
         if pointwise:
             cols = xp.reshape(n, g, cg, h * wdt)  # a 1x1 kernel's columns
         else:
-            cols = _windows(xp, kernel, stride, dilation).transpose(
-                0, 1, 4, 5, 2, 3).reshape(n, g, cg * kh * kw, oh * ow)
+            cols = _tap_view(xp, kernel, (oh, ow), (0, 0), dilation, stride).transpose(
+                2, 3, 0, 1, 4, 5).reshape(n, g, cg * kh * kw, oh * ow)
         out = np.matmul(w.data.reshape(g, cout // g, -1), cols).reshape(
             n, cout, oh, ow)
     flops = 2 * kh * kw * (cin // g) * cout * oh * ow * n
@@ -864,7 +856,7 @@ def conv2d(x, w, b=None, stride=1, padding=0, dilation=1, groups=1):
                     gwin, w.data[:, 0, rows.start:rows.stop, cols.start:cols.stop]))
             elif x.requires_grad:
                 _acc(x, _scatter_taps(
-                    xp, lambda i, j: g_out * w.data[None, :, 0, i, j, None, None],
+                    x.shape, lambda i, j: g_out * w.data[None, :, 0, i, j, None, None],
                     kernel, stride, dilation, padding))
             return
         gog = g_out.reshape(n, g, cout // g, oh * ow)
@@ -882,7 +874,7 @@ def conv2d(x, w, b=None, stride=1, padding=0, dilation=1, groups=1):
             elif stride == (1, 1):
                 _acc(x, _dense_input_grad(taps, (h, wdt), dilation, padding))
             else:
-                _acc(x, _scatter_taps(xp, lambda i, j: taps[:, :, i, j],
+                _acc(x, _scatter_taps(x.shape, lambda i, j: taps[:, :, i, j],
                                       kernel, stride, dilation, padding))
 
     return _record(out, parents, bwd, flops)
@@ -906,17 +898,19 @@ def avg_pool(x, kernel, stride=None, padding=0):
     if oh < 1 or ow < 1:
         raise ValueError("zero-sized pool output")
 
-    xp = _pad(x.data, padding)
-    sums = _windows(xp, kernel, stride, (1, 1)).sum(axis=(4, 5))
-    onesp = _pad(np.ones((1, 1, h, w)), padding)
-    counts = _windows(onesp, kernel, stride, (1, 1)).sum(axis=(4, 5))
+    def window_sums(arr):
+        view = _tap_view(_pad(arr, padding), kernel, (oh, ow), (0, 0), (1, 1), stride)
+        return view.transpose(2, 3, 4, 5, 0, 1).sum(axis=(4, 5))
+
+    sums = window_sums(x.data)
+    counts = window_sums(np.ones((1, 1, h, w)))
     if (counts == 0).any():
         raise ValueError("pool window without any valid cell (padding too large)")
     out = sums / counts
 
     def bwd(g):
         gn = g / counts
-        _acc(x, _scatter_taps(xp, lambda i, j: gn, kernel, stride, (1, 1), padding))
+        _acc(x, _scatter_taps(x.shape, lambda i, j: gn, kernel, stride, (1, 1), padding))
 
     return _record(out, (x,), bwd, kh * kw * out.size)
 

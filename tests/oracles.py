@@ -131,8 +131,9 @@ def conv2d_naive_grads(x, w, gout, stride=(1, 1), padding=(0, 0), dilation=(1, 1
     return gx, gw, gout.sum(axis=(0, 2, 3))
 
 
-def dense_input_grad_scatter(w, g, x_shape, padding=(0, 0), dilation=(1, 1)):
-    """Input gradient of a stride-1 dense conv (groups 1), tap by tap.
+def dense_input_grad_scatter(w, g, x_shape, padding=(0, 0), dilation=(1, 1),
+                             stride=(1, 1)):
+    """Input gradient of a dense conv (groups 1), tap by tap.
 
     The per-tap gradients are the engine's `gcols` matmul, same shapes;
     `scatter_tap_grads` adds them up.
@@ -143,25 +144,26 @@ def dense_input_grad_scatter(w, g, x_shape, padding=(0, 0), dilation=(1, 1)):
     gcols = np.matmul(w.reshape(1, cout, -1).transpose(0, 2, 1),
                       g.reshape(n, 1, cout, oh * ow))
     return scatter_tap_grads(gcols.reshape(n, cin, kh, kw, oh, ow), x_shape,
-                             padding, dilation)
+                             padding, dilation, stride)
 
 
-def scatter_tap_grads(taps, x_shape, padding=(0, 0), dilation=(1, 1)):
+def scatter_tap_grads(taps, x_shape, padding=(0, 0), dilation=(1, 1), stride=(1, 1)):
     """Input gradient from the gradients `taps` (n, c, kh, kw, oh, ow)
-    reaching each tap of a stride-1 conv.
+    reaching each tap of a conv or pool.
 
     Every tap, in row-major order, adds its gradient onto a zero grid laid
-    out like the padded input, at the cells the tap read; the padding is
-    cropped at the end. A tap that reads only padding adds only to the
-    cropped border.
+    out like the padded input, at the cells the tap read (every stride-th
+    cell from the tap's offset); the padding is cropped at the end. A tap
+    that reads only padding adds only to the cropped border.
     """
     n, cin, h, wd = x_shape
     _, _, kh, kw, oh, ow = taps.shape
-    (ph, pw), (dh, dw) = padding, dilation
+    (ph, pw), (dh, dw), (sh, sw) = padding, dilation, stride
     gxp = np.zeros((n, cin, h + 2 * ph, wd + 2 * pw))
     for i in range(kh):
         for j in range(kw):
-            gxp[:, :, i * dh : i * dh + oh, j * dw : j * dw + ow] += taps[:, :, i, j]
+            gxp[:, :, i * dh : i * dh + sh * oh : sh,
+                j * dw : j * dw + sw * ow : sw] += taps[:, :, i, j]
     return gxp[:, :, ph : ph + h, pw : pw + wd]
 
 

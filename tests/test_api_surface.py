@@ -31,6 +31,15 @@ def test_every_engine_op_has_a_caller_in_the_package():
     assert [name for name in ops if name not in used] == []
 
 
+def test_every_private_function_has_a_caller_in_the_package():
+    # a helper whose last caller is gone is dead code; tests do not count
+    source = "\n".join(path.read_text() for path in PACKAGE.glob("*.py"))
+    helpers = re.findall(r"^def (_\w+)\(", source, flags=re.M)
+    calls = re.sub(r"^def \w+\(", "", source, flags=re.M)
+    assert helpers
+    assert [name for name in helpers if not re.search(rf"\b{name}\(", calls)] == []
+
+
 def subparsers():
     parser = cli.build_parser()
     action = next(a for a in parser._actions

@@ -618,6 +618,14 @@ class TestAnalysisCommands:
         assert exc.value.code == 2
         assert "--format" in capsys.readouterr().err
 
+    def test_rf_has_no_ppm_flag(self, tmp_path, capsys):
+        # the RF paths are fixed chains, the same for either pyramid
+        cfg = write_config(tmp_path, TOY_CONFIG)
+        with pytest.raises(SystemExit) as exc:
+            main(["rf", "--config", cfg, "--ppm", "dappm"])
+        assert exc.value.code == 2
+        assert "--ppm" in capsys.readouterr().err
+
     def test_flops_total_matches_meter(self, tmp_path, capsys):
         cfg = write_config(tmp_path, TOY_CONFIG)
         assert main(["flops", "--config", cfg, "--format", "csv"]) == 0

@@ -1,5 +1,6 @@
 """Convolution against the six-nested-loop oracle, plus its contracts."""
 
+import gc
 import itertools
 import weakref
 
@@ -364,17 +365,20 @@ def test_non_contiguous_input_matches_contiguous_copy(padding, dw):
 
 
 def test_window_view_is_read_only():
-    xp = E._pad(np.arange(2 * 3 * 5 * 6, dtype=float).reshape(2, 3, 5, 6), (1, 2))
-    win = E._windows(xp, (3, 2), (2, 1), (1, 3))
-    assert win.shape == (2, 3, 3, 7, 3, 2)
+    x = np.arange(2 * 3 * 5 * 6, dtype=float).reshape(2, 3, 5, 6)
+    xp = E._pad(x, (1, 2))
+    # kernel (3, 2), stride (2, 1), dilation (1, 3) over the padded 7x10 map
+    win = E._tap_view(xp, (3, 2), (3, 7), (0, 0), (1, 3), (2, 1))
+    assert win.shape == (3, 2, 2, 3, 3, 7)
     assert not win.flags.writeable
     with pytest.raises(ValueError):
         win[0, 0, 0, 0, 0, 0] = 1.0
     # tap (i, j) of output (y, x) reads xp[y * sh + i * dh, x * sw + j * dw]
-    assert win[1, 2, 2, 4, 1, 1] == xp[1, 2, 2 * 2 + 1, 4 + 3]
+    assert win[1, 1, 1, 2, 2, 4] == xp[1, 2, 2 * 2 + 1, 4 + 3]
     # strides come from the array itself, whatever its layout
-    t = np.asfortranarray(xp)
-    assert np.array_equal(E._windows(t, (3, 2), (2, 1), (1, 3)), win)
+    last = E._pad(x, (1, 2), last=True)
+    assert not last.flags.c_contiguous
+    assert np.array_equal(E._tap_view(last, (3, 2), (3, 7), (0, 0), (1, 3), (2, 1)), win)
 
 
 @pytest.mark.parametrize("groups", [1, 2])
@@ -627,6 +631,111 @@ def test_dense_tap_sum_keeps_signed_zeros(geometry, gather, monkeypatch):
         got = E._dense_input_grad(taps, (h, wd), dilation, padding)
         want = scatter_tap_grads(taps, (n, 3, h, wd), padding, dilation)
         assert got.tobytes() == want.tobytes(), (h, wd, n)
+
+
+# The toy model's strided dense convs, all 3x3 at stride 2 and padding 1:
+# (c_in, c_out, map size), from the stem at 64x64 down to the high branch.
+MODEL_STRIDED_DENSE = [(3, 16, 64), (16, 16, 32), (16, 16, 16), (16, 32, 8),
+                       (32, 64, 4)]
+
+
+@pytest.mark.parametrize("cin, cout, size", MODEL_STRIDED_DENSE)
+def test_strided_dense_input_grad_matches_scatter_bytes(cin, cout, size):
+    rng = np.random.default_rng(37)
+    for n in (1, 2):
+        x = E.Parameter(rng.normal(size=(n, cin, size, size)))
+        w = _signed_spread(rng, (cout, cin, 3, 3), zeros=0.1)
+        out = E.conv2d(x, E.Tensor(w), stride=2, padding=1)
+        g = _signed_spread(rng, out.shape)
+        sum_all(E.mul(out, E.Tensor(g))).backward()
+        want = dense_input_grad_scatter(w, g, x.shape, (1, 1), (1, 1), (2, 2))
+        assert x.grad.tobytes() == want.tobytes(), n
+
+
+def _depthwise_taps(w, g):
+    """The gradient (n, c, kh, kw, oh, ow) reaching each depthwise tap."""
+    return g[:, :, None, None] * w[:, 0, :, :, None, None]
+
+
+def test_strided_depthwise_input_grad_matches_scatter_bytes():
+    rng = np.random.default_rng(38)
+    x, w = _spread(rng, (2, 3, 9, 8)), _spread(rng, (3, 1, 3, 5))
+    kw = dict(stride=(2, 2), padding=(1, 2), dilation=(2, 1))
+    g = _signed_zero_grad(rng, E.conv2d(E.Tensor(x), E.Tensor(w), groups=3, **kw).shape)
+    gx, _ = _depthwise_grads(x, w, g, **kw)
+    want = scatter_tap_grads(_depthwise_taps(w, g), x.shape, (1, 2), (2, 1), (2, 2))
+    assert gx.tobytes() == want.tobytes()
+
+
+def _pool_counts(size, out, k, s, p):
+    """Valid cells of each pooling window, per axis products."""
+    per_axis = [[sum(0 <= y * s + i - p < n for i in range(k)) for y in range(o)]
+                for n, o in zip(size, out)]
+    return np.outer(*per_axis).astype(float)
+
+
+@pytest.mark.parametrize("shape", [(2, 3, 20, 18), (1, 2, 12, 9)])
+@pytest.mark.parametrize("scale", POOL_SCALES)
+def test_pool_input_grad_matches_scatter_bytes(scale, shape):
+    k, s, p = scale
+    rng = np.random.default_rng(39)
+    x = E.Parameter(rng.normal(size=shape))
+    out = E.avg_pool(x, k, s, p)
+    n, c, oh, ow = out.shape
+    assert oh > 1 and ow > 1
+    g = _signed_spread(rng, out.shape)
+    sum_all(E.mul(out, E.Tensor(g))).backward()
+    gn = g / _pool_counts(shape[2:], (oh, ow), k, s, p)
+    taps = np.broadcast_to(gn[:, :, None, None], (n, c, k, k, oh, ow))
+    want = scatter_tap_grads(taps, shape, (p, p), (1, 1), (s, s))
+    assert x.grad.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("dw", [False, True], ids=["dense", "depthwise"])
+def test_tap_stepping_over_every_cell_matches_scatter_bytes(dw):
+    # 3x3 map, kernel 3, stride 4, padding 2: per axis tap 1 reads cells
+    # -1 and 3, live by `_live_taps` but with no read inside the map
+    shape, stride, padding = (2, 3, 3, 3), (4, 4), (2, 2)
+    oh, ow = E._out_hw(3, 3, (3, 3), stride, padding)
+    rows, _ = E._live_taps((3, 3), (3, 3), stride, padding, (1, 1), (oh, ow))
+    assert [E._in_bounds(i - 2, oh, 4, 3) is None for i in rows] == [False, True, False]
+    rng = np.random.default_rng(40)
+    x = _spread(rng, shape)
+    w = _spread(rng, (3, 1 if dw else 3, 3, 3))
+    g = _signed_zero_grad(rng, (2, 3, oh, ow))
+    xt = E.Parameter(x)
+    out = E.conv2d(xt, E.Tensor(w), stride=stride, padding=padding,
+                   groups=3 if dw else 1)
+    sum_all(E.mul(out, E.Tensor(g))).backward()
+    if dw:
+        want = scatter_tap_grads(_depthwise_taps(w, g), shape, padding, (1, 1), stride)
+    else:
+        want = dense_input_grad_scatter(w, g, shape, padding, (1, 1), stride)
+    assert xt.grad.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("op", [
+    lambda x: E.conv2d(x, E.Parameter(np.ones((4, 3, 3, 3))), padding=1),
+    lambda x: E.conv2d(x, E.Parameter(np.ones((4, 3, 3, 3))), stride=2, padding=1),
+    lambda x: E.avg_pool(x, 3, 2, 1),
+], ids=["dense", "strided-dense", "avg-pool"])
+def test_backward_does_not_hold_padded_copy(op, monkeypatch):
+    # the im2col columns and the pool's sums are their own arrays, and the
+    # scatter needs only the input's shape, so the padded copy dies with
+    # the forward while its output, and so its backward, lives on
+    copies = []
+    pad = E._pad
+
+    def spy(*args, **kwargs):
+        out = pad(*args, **kwargs)
+        copies.append(weakref.ref(out))
+        return out
+
+    monkeypatch.setattr(E, "_pad", spy)
+    out = op(E.Parameter(np.random.default_rng(41).normal(size=(2, 3, 6, 6))))
+    assert out.requires_grad and copies
+    gc.collect()
+    assert [ref() for ref in copies] == [None] * len(copies)
 
 
 def _pointwise_im2col(x, w, groups):

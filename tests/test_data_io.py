@@ -154,6 +154,14 @@ class TestNetpbm:
         write_ppm(path, np.ones((3, 1, 1)))
         assert path.read_bytes() == b"P6\n1 1\n255\n\xff\xff\xff"
 
+    def test_write_onto_directory_raises_and_leaves_no_temp_file(self, tmp_path):
+        path = tmp_path / "img.ppm"
+        path.mkdir()
+        with pytest.raises(OSError):
+            write_ppm(path, np.ones((3, 1, 1)))
+        assert path.is_dir()
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["img.ppm"]
+
     def test_pgm_preserves_every_level(self, tmp_path):
         labels = np.arange(256, dtype=np.uint8).reshape(16, 16)
         path = tmp_path / "lbl.pgm"

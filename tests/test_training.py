@@ -612,6 +612,7 @@ class TestCheckpointWrites:
         assert threading.active_count() == threads
         # epoch 0's failed write raises in epoch 0
         assert len(lines) == 1
+        assert not (tmp_path / "last.ckpt.tmp").exists()
 
     @pytest.mark.filterwarnings("ignore:invalid value encountered")
     def test_abort_leaves_earlier_checkpoints(self, tmp_path):
