@@ -12,6 +12,7 @@ excluded. Latency is measured by the benchmark harness
 from __future__ import annotations
 
 from .costs import CostReport, receptive_field, receptive_field_2d
+from .model import rf_paths
 
 __all__ = [
     "CostReport",
@@ -25,10 +26,9 @@ __all__ = [
 ]
 
 
-def rf_table(model):
-    """Per-axis receptive field (h, w) of each of the model's named paths."""
-    return {name: receptive_field_2d(chain)
-            for name, chain in model.rf_paths().items()}
+def rf_table():
+    """Per-axis receptive field (h, w) of each of the network's named paths."""
+    return {name: receptive_field_2d(chain) for name, chain in rf_paths().items()}
 
 
 def count_flops(model_or_layer, input_shape):

@@ -1,8 +1,9 @@
 """Command-line entry point.
 
 Commands: synth-data, train, eval, infer, flops, params, rf.
-Configuration is a flat JSON document (versioned with a "version" key,
-unknown keys rejected); command-line flags override file values. Exit
+Model and training values come from a flat JSON config document
+(versioned with a "version" key, unknown keys rejected) and from nowhere
+else; `synth-data` takes its dataset fields from flags alone. Exit
 codes: 0 success, 2 configuration/validation error, 3 numerical abort,
 4 I/O failure or a malformed image or checkpoint file. Commands run with
 numpy's floating-point warnings off: a non-finite value is reported once,
@@ -38,41 +39,46 @@ class ConfigError(ValueError):
 
 _MODEL_DEFAULTS = {f.name: f.default for f in fields(ModelConfig)} | {"preset": ""}
 _TRAIN_DEFAULTS = {f.name: f.default for f in fields(TrainConfig)}
-_SPEC_DEFAULTS = {f.name: f.default for f in fields(data_io.SynthSpec)}
 # JSON types a field accepts, by the type of its default; a bool is no int
 _JSON_TYPES = {int: int, float: (int, float), str: str}
 
 
 def _section(where, doc, defaults):
-    """Copy of a JSON object whose keys and value types match `defaults`."""
+    """Copy of a JSON object whose keys and value types match `defaults`;
+    an int given for a float field is converted to a float."""
     if not isinstance(doc, dict):
         raise ConfigError(f"{where} must be an object, got {doc!r}")
     unknown = set(doc) - set(defaults)
     if unknown:
         raise ConfigError(f"{where}: unknown keys {sorted(unknown)}")
+    out = {}
     for key, value in doc.items():
         want = type(defaults[key])
         if isinstance(value, bool) or not isinstance(value, _JSON_TYPES[want]):
             raise ConfigError(
                 f"{where}: {key} must be a JSON {want.__name__}, got {value!r}")
-    return dict(doc)
+        try:
+            out[key] = want(value)
+        except OverflowError as err:
+            raise ConfigError(f"{where}: {key} is out of float range") from err
+    return out
 
 
 def _read_json(path):
     """The JSON document in `path`; `ConfigError` naming the file if it
     does not decode."""
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
             return json.load(fh)
-    except json.JSONDecodeError as err:
-        raise ConfigError(f"{path}: invalid JSON ({err})") from err
-    except UnicodeDecodeError as err:
-        raise ConfigError(f"{path}: not UTF-8 text ({err})") from err
-    except RecursionError as err:
-        raise ConfigError(f"{path}: invalid JSON (nested too deeply)") from err
+        except UnicodeDecodeError as err:
+            raise ConfigError(f"{path}: not UTF-8 text ({err})") from err
+        except ValueError as err:   # a decode error, or an int too long to convert
+            raise ConfigError(f"{path}: invalid JSON ({err})") from err
+        except RecursionError as err:
+            raise ConfigError(f"{path}: invalid JSON (nested too deeply)") from err
 
 
-def load_config(path, overrides=None):
+def load_config(path):
     """Parse and validate a run configuration JSON file."""
     doc = _read_json(path)
     if not isinstance(doc, dict):
@@ -80,21 +86,14 @@ def load_config(path, overrides=None):
     unknown = set(doc) - {"version", "model", "train"}
     if unknown:
         raise ConfigError(f"{path}: unknown keys {sorted(unknown)}")
-    if doc.get("version") != CONFIG_VERSION:
+    version = doc.get("version")
+    if type(version) is not int or version != CONFIG_VERSION:
         raise ConfigError(
-            f"{path}: config version must be {CONFIG_VERSION}, got {doc.get('version')!r}"
-        )
+            f"{path}: config version must be the integer {CONFIG_VERSION}, "
+            f"got {version!r}")
 
     model_doc = _section(f"{path} model", doc.get("model", {}), _MODEL_DEFAULTS)
     train_doc = _section(f"{path} train", doc.get("train", {}), _TRAIN_DEFAULTS)
-
-    for key, value in (overrides or {}).items():
-        section, _, field = key.partition(".")
-        if section == "model":
-            model_doc[field] = value
-        else:
-            train_doc[field] = value
-
     try:
         preset = model_doc.pop("preset", None)
         if preset is not None:
@@ -109,38 +108,26 @@ def load_config(path, overrides=None):
     return model_cfg, train_cfg
 
 
-def _model_overrides(args):
-    overrides = {}
-    if getattr(args, "ppm", None):
-        overrides["model.ppm"] = args.ppm
-    if getattr(args, "fixed_gate", None) is not None:
-        overrides["model.fixed_gate"] = args.fixed_gate
-    if getattr(args, "seed", None) is not None:
-        overrides["train.seed"] = args.seed
-    if getattr(args, "epochs", None) is not None:
-        overrides["train.epochs"] = args.epochs
-    return overrides
-
-
 def _build_from_args(args):
-    model_cfg, train_cfg = load_config(args.config, _model_overrides(args))
+    model_cfg, train_cfg = load_config(args.config)
     return build_model(model_cfg, train_cfg.seed), model_cfg, train_cfg
 
 
+def _load_samples(data_dir):
+    """The samples of a dataset directory, which must exist."""
+    if not os.path.isdir(data_dir):
+        raise ConfigError(f"dataset directory {data_dir!r} does not exist")
+    return data_io.load_dataset(data_dir)[0]
+
+
 def cmd_synth_data(args):
-    spec_doc = {}
-    if args.spec:
-        spec_doc = _section(args.spec, _read_json(args.spec), _SPEC_DEFAULTS)
-    # explicit flags override the spec file, which overrides SynthSpec's defaults
-    flags = dict(
+    spec = data_io.SynthSpec(
         seed=args.seed, count=args.count, height=args.height, width=args.width,
         class_count=args.classes, density=args.density, min_shape=args.min_shape,
     )
-    spec_doc.update((key, value) for key, value in flags.items() if value is not None)
     try:
-        spec = data_io.SynthSpec(**spec_doc)
         spec.validate()
-    except (TypeError, ValueError) as err:
+    except ValueError as err:
         raise ConfigError(str(err)) from err
     samples = data_io.synth_dataset(spec)
     data_io.write_dataset(samples, args.out, spec)
@@ -164,9 +151,7 @@ def cmd_train(args):
     if args.val_count < 0:
         raise ConfigError(f"--val-count must be >= 0, got {args.val_count}")
     model, model_cfg, train_cfg = _build_from_args(args)
-    if not os.path.isdir(args.data):
-        raise ConfigError(f"dataset directory {args.data!r} does not exist")
-    samples, _ = data_io.load_dataset(args.data)
+    samples = _load_samples(args.data)
     train_set, val_set = _split_dataset(samples, args.val_count)
     history = train_model(model, train_set, val_set, train_cfg,
                           out_dir=args.out, log=print)
@@ -175,13 +160,10 @@ def cmd_train(args):
 
 
 def cmd_eval(args):
-    if args.batch < 1:
-        raise ConfigError(f"--batch {args.batch}: batch_size must be >= 1")
-    model, model_cfg, train_cfg = _build_from_args(args)
+    model, model_cfg, _ = _build_from_args(args)
     data_io.load_into_model(model, args.ckpt)
-    samples, _ = data_io.load_dataset(args.data)
-    per_class, mean = evaluate(model, samples, model_cfg.class_count,
-                               batch_size=args.batch)
+    samples = _load_samples(args.data)
+    per_class, mean = evaluate(model, samples, model_cfg.class_count)
     print(f"samples {len(samples)}")
     print("class  iou")
     for idx, iou in enumerate(per_class):
@@ -194,7 +176,12 @@ def cmd_eval(args):
 def cmd_infer(args):
     if args.overlay is not None and not 0.0 <= args.overlay <= 1.0:
         raise ConfigError(f"--overlay must be in [0, 1], got {args.overlay}")
-    model, model_cfg, _ = _build_from_args(args)
+    model_cfg, train_cfg = load_config(args.config)
+    if model_cfg.class_count > len(data_io.PALETTE):
+        raise ConfigError(
+            f"{args.config}: class_count {model_cfg.class_count} exceeds the "
+            f"{len(data_io.PALETTE)} colours of the output palette")
+    model = build_model(model_cfg, train_cfg.seed)
     data_io.load_into_model(model, args.ckpt)
     image = data_io.read_ppm(args.image)
     with E.no_grad():
@@ -235,8 +222,7 @@ def cmd_params(args):
 
 
 def cmd_rf(args):
-    model, _, _ = _build_from_args(args)
-    table = analysis.rf_table(model)
+    table = analysis.rf_table()
     if args.format == "csv":
         print("path,rf_h,rf_w")
         for name, (rh, rw) in table.items():
@@ -254,16 +240,16 @@ def build_parser():
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
+    spec = data_io.SynthSpec()   # the dataset flags' defaults
     p = sub.add_parser("synth-data", help="generate a synthetic dataset")
     p.add_argument("--out", required=True)
-    p.add_argument("--spec", help="JSON file with dataset fields; flags override")
-    p.add_argument("--seed", type=int)
-    p.add_argument("--count", type=int)
-    p.add_argument("--height", type=int)
-    p.add_argument("--width", type=int)
-    p.add_argument("--classes", type=int)
-    p.add_argument("--density", type=float)
-    p.add_argument("--min-shape", type=int)
+    p.add_argument("--seed", type=int, default=spec.seed)
+    p.add_argument("--count", type=int, default=spec.count)
+    p.add_argument("--height", type=int, default=spec.height)
+    p.add_argument("--width", type=int, default=spec.width)
+    p.add_argument("--classes", type=int, default=spec.class_count)
+    p.add_argument("--density", type=float, default=spec.density)
+    p.add_argument("--min-shape", type=int, default=spec.min_shape)
     p.set_defaults(func=cmd_synth_data)
 
     p = sub.add_parser("train", help="train on a dataset directory")
@@ -271,19 +257,12 @@ def build_parser():
     p.add_argument("--data", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--val-count", type=int, default=16)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--epochs", type=int)
-    p.add_argument("--ppm", choices=("dappm", "dlkppm"))
-    p.add_argument("--fixed-gate", type=float)
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("eval", help="per-class IoU of a checkpoint")
     p.add_argument("--config", required=True)
     p.add_argument("--ckpt", required=True)
     p.add_argument("--data", required=True)
-    p.add_argument("--batch", type=int, default=8)
-    p.add_argument("--ppm", choices=("dappm", "dlkppm"))
-    p.add_argument("--fixed-gate", type=float)
     p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("infer", help="segment one PPM image")
@@ -292,17 +271,14 @@ def build_parser():
     p.add_argument("--image", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--overlay", type=float, default=None)
-    p.add_argument("--ppm", choices=("dappm", "dlkppm"))
-    p.add_argument("--fixed-gate", type=float)
     p.set_defaults(func=cmd_infer)
 
     for name, func in (("flops", cmd_flops), ("params", cmd_params), ("rf", cmd_rf)):
         p = sub.add_parser(name, help=f"report {name}")
-        p.add_argument("--config", required=True)
+        if name != "rf":   # the RF paths are fixed chains, the same for any model
+            p.add_argument("--config", required=True)
         if name != "params":
             p.add_argument("--format", choices=("table", "csv"), default="table")
-        if name != "rf":   # the RF paths are the same chains for either pyramid
-            p.add_argument("--ppm", choices=("dappm", "dlkppm"))
         if name == "flops":
             p.add_argument("--size", type=int, default=64)
         p.set_defaults(func=func)

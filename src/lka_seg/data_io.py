@@ -87,11 +87,13 @@ class SynthSpec:
     min_shape: int = 10
 
     def validate(self):
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         if self.count < 1:
             raise ValueError(f"count must be >= 1, got {self.count}")
-        if not (2 <= self.class_count <= 16):
+        if not (2 <= self.class_count <= len(PALETTE)):
             raise ValueError(
-                f"class_count must be in [2, 16], got {self.class_count}"
+                f"class_count must be in [2, {len(PALETTE)}], got {self.class_count}"
             )
         if min(self.height, self.width) < 64 or self.height % 64 or self.width % 64:
             raise ValueError(

@@ -330,16 +330,18 @@ class BilateralNet(Module):
         records.append(rec)
         return records, seg_sh
 
-    def rf_paths(self):
-        """Named (kernel, dilation, stride) chains for the RF table."""
-        stem = [((3, 3), (1, 1), (2, 2))] * 3
-        return {
-            "stem": stem,
-            "lka_small": large_kernel_chain()[:1],
-            "lka_strip_h": large_kernel_chain()[:2],
-            "lka_large": large_kernel_chain(),
-            "context_gate": large_kernel_chain(),
-        }
+
+def rf_paths():
+    """Named (kernel, dilation, stride) chains for the RF table; they are
+    the same for every model configuration."""
+    stem = [((3, 3), (1, 1), (2, 2))] * 3
+    return {
+        "stem": stem,
+        "lka_small": large_kernel_chain()[:1],
+        "lka_strip_h": large_kernel_chain()[:2],
+        "lka_large": large_kernel_chain(),
+        "context_gate": large_kernel_chain(),
+    }
 
 
 def build_model(cfg: ModelConfig, seed=0):

@@ -332,6 +332,8 @@ class TrainConfig:
             raise ValueError("epochs and batch_size must be positive")
         if not (np.isfinite(self.base_lr) and self.base_lr >= 0):
             raise ValueError(f"base_lr must be finite and >= 0, got {self.base_lr}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
 
 
 def _collate(samples):

@@ -181,8 +181,7 @@ class TestStaticEqualsRuntime:
 
 
 def test_model_rf_table_lists_large_path():
-    model = build_model(preset_config("toy", class_count=5), seed=0)
-    table = rf_table(model)
+    table = rf_table()
     assert table["lka_large"] == (35, 35)
     assert table["context_gate"] == (35, 35)
     assert table["lka_small"] == (5, 5)

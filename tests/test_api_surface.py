@@ -67,6 +67,16 @@ def test_readme_command_block_flags_exist():
     assert stale == []
 
 
+def test_readme_command_block_lists_every_flag():
+    listed = {line.split()[1]: set(re.findall(r"--[\w-]+", line))
+              for line in readme_commands()}
+    missing = [(name, flag) for name, p in subparsers().items()
+               for flag in p._option_string_actions
+               if flag.startswith("--") and flag != "--help"
+               and flag not in listed.get(name, ())]
+    assert missing == []
+
+
 def test_cli_docstring_lists_every_subcommand():
     listed = re.search(r"Commands: ([^.]+)\.", cli.__doc__).group(1)
     assert listed.split(", ") == list(subparsers())

@@ -82,30 +82,6 @@ class TestSynthData:
         assert rc == 2
         assert "class_count" in capsys.readouterr().err
 
-    def test_spec_file_with_flag_override(self, tmp_path):
-        spec_path = tmp_path / "spec.json"
-        spec_path.write_text(json.dumps({"seed": 5, "count": 4, "class_count": 3}))
-        a = str(tmp_path / "a")
-        assert main(["synth-data", "--out", a, "--spec", str(spec_path)]) == 0
-        assert sum(f.startswith("img_") for f in os.listdir(a)) == 4
-        b = str(tmp_path / "b")
-        assert main(["synth-data", "--out", b, "--spec", str(spec_path),
-                     "--count", "6"]) == 0
-        assert sum(f.startswith("img_") for f in os.listdir(b)) == 6
-
-    def test_flags_override_spec_even_at_their_defaults(self, tmp_path):
-        spec_path = tmp_path / "spec.json"
-        spec_path.write_text(json.dumps({"seed": 5, "count": 4}))
-        a, b = str(tmp_path / "a"), str(tmp_path / "b")
-        assert main(["synth-data", "--out", a, "--spec", str(spec_path),
-                     "--seed", "0"]) == 0
-        assert main(["synth-data", "--out", b, "--count", "4",
-                     "--seed", "0"]) == 0
-        assert sorted(os.listdir(a)) == sorted(os.listdir(b))
-        for name in os.listdir(a):
-            assert (open(os.path.join(a, name), "rb").read()
-                    == open(os.path.join(b, name), "rb").read()), name
-
     @pytest.mark.parametrize("height,width", [("128", "64"), ("256", "64")])
     def test_non_square_scenes(self, tmp_path, height, width):
         from lka_seg.data_io import load_dataset
@@ -120,6 +96,7 @@ class TestSynthData:
         (("--width", "-64"), "width"),
         (("--min-shape", "40"), "min_shape"),
         (("--density", "1e6"), "density"),
+        (("--seed", "-1"), "seed"),
     ])
     def test_unpaintable_spec_exits_2_naming_field(self, tmp_path, capsys,
                                                    flags, field):
@@ -129,39 +106,12 @@ class TestSynthData:
         assert err.startswith("config error") and field in err, err
         assert not (tmp_path / "d").exists()
 
-    def test_spec_file_infinite_density_exits_2(self, tmp_path, capsys):
-        spec_path = tmp_path / "spec.json"
-        spec_path.write_text('{"density": Infinity}')
-        rc = main(["synth-data", "--out", str(tmp_path / "d"),
-                   "--spec", str(spec_path)])
-        assert rc == 2
-        assert "density must be finite" in capsys.readouterr().err
-        assert not (tmp_path / "d").exists()
-
     def test_boundary_radius_flag_is_gone(self, tmp_path, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["synth-data", "--out", str(tmp_path / "d"),
                   "--boundary-radius", "2"])
         assert exc.value.code == 2
         assert "--boundary-radius" in capsys.readouterr().err
-        assert not (tmp_path / "d").exists()
-
-    def test_spec_file_unknown_key_exits_2(self, tmp_path, capsys):
-        spec_path = tmp_path / "spec.json"
-        spec_path.write_text(json.dumps({"shapes": 9}))
-        rc = main(["synth-data", "--out", str(tmp_path / "d"),
-                   "--spec", str(spec_path)])
-        assert rc == 2
-        assert "unknown keys" in capsys.readouterr().err
-
-    def test_spec_file_not_utf8_exits_2_naming_file(self, tmp_path, capsys):
-        spec_path = tmp_path / "spec.json"
-        spec_path.write_bytes(b'{"count": 2, "seed": "\xff"}')
-        rc = main(["synth-data", "--out", str(tmp_path / "d"),
-                   "--spec", str(spec_path)])
-        assert rc == 2
-        err = capsys.readouterr().err
-        assert err.startswith("config error") and str(spec_path) in err, err
         assert not (tmp_path / "d").exists()
 
 
@@ -188,12 +138,14 @@ class TestTrain:
 
     def test_seed_repeat_identical_metrics(self, tmp_path):
         data = synth(tmp_path, count=8, classes=3)
-        cfg = write_config(tmp_path, TINY_CONFIG)
+        doc = json.loads(json.dumps(TINY_CONFIG))
+        doc["train"]["seed"] = 9
+        cfg = write_config(tmp_path, doc)
         outs = []
         for run in ("r1", "r2"):
             out = str(tmp_path / run)
             assert main(["train", "--config", cfg, "--data", data, "--out", out,
-                         "--val-count", "2", "--seed", "9"]) == 0
+                         "--val-count", "2"]) == 0
             outs.append(out)
         for name in ("metrics.csv", "last.ckpt", "best.ckpt"):
             a = open(os.path.join(outs[0], name), "rb").read()
@@ -397,19 +349,13 @@ class TestTrain:
         assert err.startswith(f"config error: {cfg}: not UTF-8 text"), err
 
     @pytest.mark.parametrize("text", ['{"version": 1, "model": {', "[" * 200_000],
-                             ids=["truncated", "deep"])
-    @pytest.mark.parametrize("flag", ["--config", "--spec"])
-    def test_undecodable_json_exits_2_naming_file(self, tmp_path, capsys, flag,
-                                                  text):
+                             ids=["--config-truncated", "--config-deep"])
+    def test_undecodable_json_exits_2_naming_file(self, tmp_path, capsys, text):
         bad = tmp_path / "bad.json"
         bad.write_text(text)
         out = tmp_path / "out"
-        if flag == "--config":
-            argv = ["train", "--config", str(bad), "--data", str(tmp_path / "data"),
-                    "--out", str(out)]
-        else:
-            argv = ["synth-data", "--spec", str(bad), "--out", str(out)]
-        assert main(argv) == 2
+        assert main(["train", "--config", str(bad), "--data", str(tmp_path / "data"),
+                     "--out", str(out)]) == 2
         assert f"config error: {bad}: invalid JSON" in capsys.readouterr().err
         assert not out.exists()
 
@@ -422,6 +368,26 @@ class TestTrain:
         assert rc == 2
         assert "--val-count must be >= 0" in capsys.readouterr().err
         assert not (tmp_path / "run").exists()
+
+    @pytest.mark.parametrize("field, text, fault", [
+        ("version", "true", "config version must be the integer 1, got True"),
+        ("version", "1.0", "config version must be the integer 1, got 1.0"),
+        ("base_lr", "1" + "0" * 400, "train: base_lr is out of float range"),
+        ("seed", "-1", "seed must be >= 0, got -1"),
+        ("seed", "1" * 5001, "invalid JSON (Exceeds the limit"),
+    ], ids=["version-true", "version-float", "base-lr-int-overflow",
+            "seed-negative", "seed-5001-digits"])
+    def test_config_number_fault_exits_2_naming_it(self, tmp_path, capsys,
+                                                  field, text, fault):
+        doc = json.loads(json.dumps(TINY_CONFIG))
+        section = doc if field == "version" else doc["train"]
+        section[field] = "@"
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps(doc).replace('"@"', text))
+        assert main(["params", "--config", str(cfg)]) == 2
+        captured = capsys.readouterr()
+        assert f"config error: {cfg}" in captured.err and fault in captured.err
+        assert captured.out == ""
 
     def test_wrong_version_exits_2(self, tmp_path, capsys):
         doc = dict(TINY_CONFIG)
@@ -467,28 +433,16 @@ class TestEvalInfer:
         assert rc == 2
         assert "manifest.txt: count must be >= 1" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("batch", ["0", "-1"])
-    def test_eval_batch_below_one_exits_2(self, trained, capsys, batch):
-        data, cfg, ckpt = trained
-        rc = main(["eval", "--config", cfg, "--ckpt", ckpt, "--data", data,
-                   "--batch", batch])
-        assert rc == 2
-        captured = capsys.readouterr()
-        assert "batch_size must be >= 1" in captured.err
-        assert "miou" not in captured.out
-
     @pytest.mark.parametrize("argv, fault", [
         (["train", "--val-count", "-1"], "--val-count must be >= 0, got -1"),
-        (["eval", "--batch", "0"], "--batch 0: batch_size must be >= 1"),
-        (["eval", "--batch", "-1"], "--batch -1: batch_size must be >= 1"),
         (["infer", "--overlay", "1.5"], "--overlay must be in [0, 1], got 1.5"),
         (["infer", "--overlay", "-0.1"], "--overlay must be in [0, 1], got -0.1"),
         (["infer", "--overlay", "nan"], "--overlay must be in [0, 1], got nan"),
         (["flops", "--size", "0"], "--size must be positive and divisible by 64, got 0"),
         (["flops", "--size", "65"],
          "--size must be positive and divisible by 64, got 65"),
-    ], ids=["val-count", "batch-0", "batch-neg", "overlay-high", "overlay-neg",
-            "overlay-nan", "size-0", "size-65"])
+    ], ids=["val-count", "overlay-high", "overlay-neg", "overlay-nan", "size-0",
+            "size-65"])
     def test_bad_flag_exits_2_before_any_file_is_read(self, tmp_path, capsys,
                                                       argv, fault):
         # every path is missing: a flag checked after the first read would
@@ -503,6 +457,28 @@ class TestEvalInfer:
         assert rc == 2
         assert f"config error: {fault}" in capsys.readouterr().err
         assert os.listdir(tmp_path) == []
+
+    def test_eval_missing_dataset_dir_exits_2(self, trained, tmp_path, capsys):
+        _, cfg, ckpt = trained
+        missing = str(tmp_path / "none")
+        assert main(["eval", "--config", cfg, "--ckpt", ckpt, "--data", missing]) == 2
+        captured = capsys.readouterr()
+        assert f"config error: dataset directory {missing!r} does not exist" in captured.err
+        assert captured.out == ""
+
+    def test_infer_class_count_beyond_palette_exits_2_before_any_file_is_read(
+            self, tmp_path, capsys):
+        doc = json.loads(json.dumps(TINY_CONFIG))
+        doc["model"]["class_count"] = 17
+        cfg = write_config(tmp_path, doc)
+        missing = str(tmp_path / "missing")
+        dest = tmp_path / "seg.ppm"
+        rc = main(["infer", "--config", cfg, "--ckpt", missing, "--image", missing,
+                   "--out", str(dest)])
+        assert rc == 2
+        assert (f"config error: {cfg}: class_count 17 exceeds the 16 colours"
+                in capsys.readouterr().err)
+        assert not dest.exists()
 
     def test_infer_writes_ppm(self, trained, tmp_path, capsys):
         data, cfg, ckpt = trained
@@ -584,8 +560,7 @@ class TestEvalInfer:
         conv.weight.data = conv.weight.data * 1e300
         bad = str(tmp_path / "scaled.ckpt")
         save_checkpoint(model, bad)
-        proc = run_cli(["eval", "--config", cfg, "--ckpt", bad, "--data", data,
-                        "--batch", "4"])
+        proc = run_cli(["eval", "--config", cfg, "--ckpt", bad, "--data", data])
         assert proc.returncode == 2
         lines = proc.stderr.splitlines()
         assert len(lines) == 1 and lines[0].startswith(
@@ -599,15 +574,13 @@ class TestEvalInfer:
 
 
 class TestAnalysisCommands:
-    def test_rf_reports_35(self, tmp_path, capsys):
-        cfg = write_config(tmp_path, TOY_CONFIG)
-        assert main(["rf", "--config", cfg]) == 0
+    def test_rf_reports_35(self, capsys):
+        assert main(["rf"]) == 0
         out = capsys.readouterr().out
         assert "lka_large: 35 x 35" in out
 
-    def test_rf_csv_format(self, tmp_path, capsys):
-        cfg = write_config(tmp_path, TOY_CONFIG)
-        assert main(["rf", "--config", cfg, "--format", "csv"]) == 0
+    def test_rf_csv_format(self, capsys):
+        assert main(["rf", "--format", "csv"]) == 0
         out = capsys.readouterr().out
         assert "path,rf_h,rf_w" in out and "lka_large,35,35" in out
 
@@ -618,11 +591,10 @@ class TestAnalysisCommands:
         assert exc.value.code == 2
         assert "--format" in capsys.readouterr().err
 
-    def test_rf_has_no_ppm_flag(self, tmp_path, capsys):
+    def test_rf_has_no_ppm_flag(self, capsys):
         # the RF paths are fixed chains, the same for either pyramid
-        cfg = write_config(tmp_path, TOY_CONFIG)
         with pytest.raises(SystemExit) as exc:
-            main(["rf", "--config", cfg, "--ppm", "dappm"])
+            main(["rf", "--ppm", "dappm"])
         assert exc.value.code == 2
         assert "--ppm" in capsys.readouterr().err
 
@@ -671,21 +643,51 @@ class TestAnalysisCommands:
         assert reported == checkpoint_scalar_count(os.path.join(out, "last.ckpt"))
 
     def test_fixed_gate_flag_trains(self, tmp_path, capsys):
+        # the fixed-gate ablation is the config's `fixed_gate` value
         data = synth(tmp_path, count=8, classes=3)
-        cfg = write_config(tmp_path, TINY_CONFIG)
-        out = str(tmp_path / "run")
-        rc = main(["train", "--config", cfg, "--data", data, "--out", out,
-                   "--val-count", "2", "--fixed-gate", "0.5"])
-        assert rc == 0
-        rc = main(["train", "--config", cfg, "--data", data,
-                   "--out", str(tmp_path / "bad"), "--val-count", "2",
-                   "--fixed-gate", "1.5"])
-        assert rc == 2  # sigma outside (0, 1)
+        doc = json.loads(json.dumps(TINY_CONFIG))
+        for gate, name, code in ((0.5, "ok", 0), (1.5, "bad", 2)):
+            doc["model"]["fixed_gate"] = gate
+            cfg = write_config(tmp_path, doc, f"{name}.json")
+            rc = main(["train", "--config", cfg, "--data", data,
+                       "--out", str(tmp_path / name), "--val-count", "2"])
+            assert rc == code, gate
+        err = capsys.readouterr().err
+        assert f"config error: {cfg}: fixed_gate must lie in (0, 1), got 1.5" in err
 
     def test_ppm_toggle_changes_model(self, tmp_path, capsys):
-        cfg = write_config(tmp_path, TOY_CONFIG)
-        assert main(["params", "--config", cfg]) == 0
+        doc = json.loads(json.dumps(TOY_CONFIG))
+        assert main(["params", "--config", write_config(tmp_path, doc)]) == 0
         base = int(capsys.readouterr().out.split()[-1])
-        assert main(["params", "--config", cfg, "--ppm", "dappm"]) == 0
+        doc["model"]["ppm"] = "dappm"
+        assert main(["params", "--config", write_config(tmp_path, doc)]) == 0
         ablated = int(capsys.readouterr().out.split()[-1])
         assert ablated < base  # the plain pyramid drops the gate convolutions
+
+
+@pytest.mark.parametrize("command, option", [
+    ("synth-data", "--spec"),
+    ("train", "--seed"), ("train", "--epochs"), ("train", "--ppm"),
+    ("train", "--fixed-gate"),
+    ("eval", "--batch"), ("eval", "--ppm"), ("eval", "--fixed-gate"),
+    ("infer", "--ppm"), ("infer", "--fixed-gate"),
+    ("flops", "--ppm"), ("params", "--ppm"),
+    ("rf", "--config"),
+])
+def test_removed_option_exits_2_naming_it(tmp_path, monkeypatch, capsys, command,
+                                         option):
+    # model and training values come from the config alone, dataset fields
+    # from synth-data's flags alone
+    required = {"synth-data": ["--out", "d"],
+                "train": ["--config", "c.json", "--data", "d", "--out", "r"],
+                "eval": ["--config", "c.json", "--ckpt", "c.ckpt", "--data", "d"],
+                "infer": ["--config", "c.json", "--ckpt", "c.ckpt", "--image", "i.ppm",
+                          "--out", "o.ppm"],
+                "flops": ["--config", "c.json"], "params": ["--config", "c.json"],
+                "rf": []}[command]
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as exc:
+        main([command, *required, option, "1"])
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {option} 1" in capsys.readouterr().err
+    assert os.listdir(tmp_path) == []

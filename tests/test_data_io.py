@@ -63,6 +63,11 @@ class TestSynthDataset:
     def test_spec_validation(self):
         with pytest.raises(ValueError, match="class_count"):
             SynthSpec(class_count=1).validate()
+        SynthSpec(class_count=len(PALETTE)).validate()
+        with pytest.raises(ValueError, match=rf"class_count must be in \[2, {len(PALETTE)}\]"):
+            SynthSpec(class_count=len(PALETTE) + 1).validate()
+        with pytest.raises(ValueError, match="seed must be >= 0, got -1"):
+            SynthSpec(seed=-1).validate()
         with pytest.raises(ValueError, match="divisible"):
             SynthSpec(height=60).validate()
         with pytest.raises(ValueError, match="count"):

@@ -1,14 +1,17 @@
-"""Parsers against hostile bytes: Netpbm images and checkpoint headers.
+"""Parsers against hostile bytes: Netpbm images, checkpoint headers and
+run configs.
 
 Each property holds for every input: the parser returns exactly what the
 bytes describe, or it raises its typed error: a `ValueError` for images,
-a `CheckpointError` (exit 4 on the command line) for checkpoints.
-Hypothesis runs derandomized with a bounded example count, so every run
-tries the same inputs.
+a `CheckpointError` (exit 4 on the command line) for checkpoints, a
+`ConfigError` (exit 2) for configs. Hypothesis runs derandomized with a
+bounded example count, so every run tries the same inputs.
 """
 
+import json
 import re
 import struct
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -16,6 +19,7 @@ import pytest
 pytest.importorskip("hypothesis")
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+from lka_seg.cli import ConfigError, load_config
 from lka_seg.data_io import (
     CheckpointError,
     load_into_model,
@@ -23,7 +27,9 @@ from lka_seg.data_io import (
     read_ppm,
     save_checkpoint,
 )
+from lka_seg.model import ModelConfig
 from lka_seg.nn import BatchNorm2d, Conv2d, Sequential
+from lka_seg.training import TrainConfig
 
 FUZZ = settings(derandomize=True, max_examples=400, deadline=None,
                 suppress_health_check=[HealthCheck.too_slow])
@@ -150,3 +156,47 @@ def test_every_header_and_manifest_bit_flip_refuses_or_loads_exactly(tmp_path):
             loaded += 1
     # only the spare bits of a trainable flag leave the meaning unchanged
     assert loaded and refused > 10 * loaded
+
+
+# JSON values, including ones on either side of each field's range and type
+_json_leaf = st.one_of(
+    st.none(), st.booleans(), st.integers(), st.floats(), st.text(max_size=6),
+    st.sampled_from([0, 1, -1, 2, 17, 1.0, 0.5, 1.5, 10**400, -10**400, "toy",
+                     "small", "dappm", "dlkppm", ""]))
+_json = st.recursive(
+    _json_leaf, lambda inner: st.one_of(st.lists(inner, max_size=3),
+                                        st.dictionaries(st.text(max_size=4), inner,
+                                                        max_size=3)),
+    max_leaves=8)
+
+
+def _section(names):
+    return st.one_of(st.dictionaries(st.sampled_from(names + ["bogus"]), _json_leaf,
+                                     max_size=5), _json)
+
+
+_config_doc = st.fixed_dictionaries({}, optional={
+    "version": st.one_of(st.just(1), _json_leaf),
+    "model": _section([f.name for f in fields(ModelConfig)] + ["preset"]),
+    "train": _section([f.name for f in fields(TrainConfig)]),
+    "seed": _json_leaf,
+})
+
+
+@FUZZ
+@given(raw=st.one_of(_config_doc.map(lambda d: json.dumps(d).encode()),
+                     _json.map(lambda d: json.dumps(d).encode()),
+                     st.binary(max_size=40)))
+def test_config_loads_or_raises_config_error(scratch, raw):
+    scratch.write_bytes(raw)
+    try:
+        model_cfg, train_cfg = load_config(scratch)
+    except ConfigError as err:
+        assert str(err).startswith(str(scratch))
+        return
+    assert type(json.loads(raw)["version"]) is int
+    model_cfg.validate()
+    train_cfg.validate()
+    for cfg in (model_cfg, train_cfg):
+        for f in fields(cfg):
+            assert type(getattr(cfg, f.name)) is type(f.default), f.name
