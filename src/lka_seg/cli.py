@@ -23,7 +23,7 @@ import numpy as np
 from . import analysis, data_io
 from . import engine as E
 from .model import ModelConfig, build_model, preset_config
-from .training import NumericalAbort, TrainConfig, evaluate, train_model
+from .training import IGNORE_INDEX, NumericalAbort, TrainConfig, evaluate, train_model
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -113,11 +113,12 @@ def _build_from_args(args):
     return build_model(model_cfg, train_cfg.seed), model_cfg, train_cfg
 
 
-def _load_samples(data_dir):
-    """The samples of a dataset directory, which must exist."""
+def _load_samples(data_dir, class_count):
+    """The samples of a dataset directory, which must exist, with every
+    label below `class_count` or the ignore label."""
     if not os.path.isdir(data_dir):
         raise ConfigError(f"dataset directory {data_dir!r} does not exist")
-    return data_io.load_dataset(data_dir)[0]
+    return data_io.load_dataset(data_dir, class_count, IGNORE_INDEX)[0]
 
 
 def cmd_synth_data(args):
@@ -151,7 +152,7 @@ def cmd_train(args):
     if args.val_count < 0:
         raise ConfigError(f"--val-count must be >= 0, got {args.val_count}")
     model, model_cfg, train_cfg = _build_from_args(args)
-    samples = _load_samples(args.data)
+    samples = _load_samples(args.data, model_cfg.class_count)
     train_set, val_set = _split_dataset(samples, args.val_count)
     history = train_model(model, train_set, val_set, train_cfg,
                           out_dir=args.out, log=print)
@@ -162,7 +163,7 @@ def cmd_train(args):
 def cmd_eval(args):
     model, model_cfg, _ = _build_from_args(args)
     data_io.load_into_model(model, args.ckpt)
-    samples = _load_samples(args.data)
+    samples = _load_samples(args.data, model_cfg.class_count)
     per_class, mean = evaluate(model, samples, model_cfg.class_count)
     print(f"samples {len(samples)}")
     print("class  iou")

@@ -341,7 +341,7 @@ def _manifest_int(manifest, data_dir, key):
     return value
 
 
-def load_dataset(data_dir):
+def load_dataset(data_dir, class_count=None, ignore_index=None):
     """Read a dataset directory back into samples.
 
     The manifest must hold a `count` entry that is an integer >= 1;
@@ -351,6 +351,9 @@ def load_dataset(data_dir):
 
     Every image must have the first image's size, and every label map its
     image's size; otherwise a `ValueError` names the file and both sizes.
+    Given `class_count`, every label must be below it or be `ignore_index`;
+    otherwise a `ValueError` names the label map, the first such label and
+    its row and column.
     """
     manifest = read_manifest(data_dir)
     count = _manifest_int(manifest, data_dir, "count")
@@ -367,6 +370,14 @@ def load_dataset(data_dir):
         if labels.shape != size:
             raise ValueError(f"{label_path}: label map is {_hw(labels.shape)}, "
                              f"but its image is {_hw(size)}")
+        if class_count is not None:
+            bad = (labels >= class_count) & (labels != ignore_index)
+            if bad.any():
+                y, x = (int(v) for v in np.argwhere(bad)[0])
+                raise ValueError(
+                    f"{label_path}: label {labels[y, x]} at row {y}, column {x} "
+                    f"outside [0, {class_count}) and not the ignore label "
+                    f"{ignore_index}")
         samples.append(SegBatch(image=image, labels=labels))
     return samples, manifest
 

@@ -4,14 +4,19 @@ Everything runs on 64-bit floats so gradients can be checked tightly
 against central finite differences. Convolution is direct (a blocked
 im2col-style contraction, no FFT/Winograd), cross-correlation convention,
 zero padding. Convolution and pooling share one geometry: the input is
-copied once into a zero-filled buffer of the padded shape (`_pad`), and
+copied into a zero-filled buffer of the padded shape (`_pad`), and
 every kernel tap is read through one read-only strided view of that
 buffer (`_tap_view`). Strided dense and grouped convs, strided depthwise
 convs and pooling add each tap's gradient back onto the unpadded input,
 one clipped strided slice per tap (`_scatter_taps`); every stride-1 conv
-gathers its input gradient instead, as below. No backward keeps the
-padded copy of a dense conv or pool: the im2col columns are their own
-copy, and the scatter needs only the input's shape.
+gathers its input gradient instead, as below. No backward keeps a padded
+copy or the im2col columns: a dense conv's backward builds its columns
+again from the input (`_columns`) for the weight gradient, a depthwise
+conv's its tap view (`_dw_taps`), and the scatter needs only the input's
+shape. One more im2col copy per dense conv and step buys half a train
+step's peak traced memory: the rematerialization of Chen et al.,
+"Training Deep Nets with Sublinear Memory Cost" (2016), applied to the
+buffers that are cheap to rebuild.
 
 `conv2d` has two contraction paths. A depthwise conv (groups = c_in =
 c_out) sums each output cell's tap products in row-major tap order,
@@ -54,7 +59,9 @@ spatial-times-channel logits, the softmax across branches
 hand-written backward.
 
 The autodiff graph is a define-by-run tape: every operation that sees a
-grad-requiring input records a backward closure on its output.
+grad-requiring input records a backward closure on its output. The
+backward sweep frees the graph as it passes (`Tensor.backward`), so a
+swept graph cannot be swept again.
 
 Finiteness is checked at the boundaries, not on every op output: a
 user-built `Tensor` or `Parameter` is scanned when it is constructed, and
@@ -229,16 +236,19 @@ class Tensor:
         """Reverse-mode sweep from a scalar loss.
 
         Populates `.grad` on every grad-requiring tensor reachable from
-        this node. A second sweep from the same node is rejected; build a
-        fresh graph per step instead.
+        this node. The sweep frees the graph as it passes: each op output is
+        dropped from the sweep's order once its backward has run, and loses
+        its closure and its links to its inputs. So an activation, and
+        whatever its op's closure kept for the backward, is freed as soon
+        as every op that consumed it has run its backward, unless the
+        caller still holds it. A swept graph cannot be swept again: a sweep
+        from any of its op outputs, or one that reaches one, raises
+        `RuntimeError`; build a fresh graph per step instead.
         """
         if self.data.size != 1:
             raise ValueError(
                 f"backward requires a scalar loss, got shape {self.data.shape}"
             )
-        if self._done:
-            raise RuntimeError("backward already ran for this graph; reset first")
-        self._done = True
 
         order = []
         seen = set()
@@ -250,6 +260,9 @@ class Tensor:
                 continue
             if id(node) in seen:
                 continue
+            if node._done:
+                raise RuntimeError("backward already ran through this graph; "
+                                   "build a new graph per sweep")
             seen.add(id(node))
             stack.append((node, True))
             for p in node._parents:
@@ -257,11 +270,15 @@ class Tensor:
                     stack.append((p, False))
 
         self.grad = np.ones_like(self.data)
-        for node in reversed(order):
-            if node._bwd is not None and node.grad is not None:
+        while order:
+            node = order.pop()   # the list must not keep it alive
+            if node._bwd is None:
+                continue
+            if node.grad is not None:
                 node._bwd(node.grad)
                 if node is not self:
                     node.grad = None  # free intermediate storage
+            node._bwd, node._parents, node._done = None, (), True
 
 
 class Parameter(Tensor):
@@ -703,9 +720,12 @@ def _adjoint_view(g, size, live, dilation, padding, last):
     (y + ph - i*dh, x + pw - j*dw), i and j over the `live` tap ranges;
     `g` is zero-padded (`_embed`, channels-last with `last`) to cover
     every such read. `g` is (n, c, oh, ow), shared by every tap, or
-    (th, tw, n, c, oh, ow), one block per live tap.
+    (th, tw, n, c, oh, ow), one block per live tap. With no live tap along
+    an axis, nothing reads the input, and the view is empty.
     """
     (rows, cols), (dh, dw), (ph, pw) = live, dilation, padding
+    if not (rows and cols):
+        return np.zeros((len(rows), len(cols), *g.shape[-4:-2], *size))
     reach = (len(rows) - 1) * dh, (len(cols) - 1) * dw
     gp = _embed(g, (size[0] + reach[0], size[1] + reach[1]),
                 ((rows.stop - 1) * dh - ph, (cols.stop - 1) * dw - pw), last)
@@ -767,6 +787,36 @@ def _dense_input_grad(taps, size, dilation, padding):
                          (1, 1), dilation, padding)
 
 
+def _columns(xp, groups, kernel, out, stride, dilation):
+    """A dense conv's im2col columns (n, groups, c_in/groups * kh * kw, oh * ow).
+
+    Copied out of `_tap_view` over `xp`, `_pad`'s buffer of the input, one
+    row per (channel, tap) and one column per output cell; for a 1x1
+    kernel at stride 1 they are `xp` itself, reshaped. The forward's
+    matmul reads them and the backward builds them again for the weight
+    gradient, so no backward holds them or the padded copy.
+    """
+    n, c = xp.shape[:2]
+    if kernel == stride == (1, 1):
+        return xp.reshape(n, groups, c // groups, out[0] * out[1])
+    return _tap_view(xp, kernel, out, (0, 0), dilation, stride).transpose(
+        2, 3, 0, 1, 4, 5).reshape(n, groups, -1, out[0] * out[1])
+
+
+def _dw_taps(x, live, out, stride, padding, dilation, last):
+    """A depthwise conv's live taps: `_tap_view` (th, tw, n, c, oh, ow) over
+    `_pad`'s buffer of `x`, channels-last with `last`.
+
+    `live` is `_live_taps`'s pair of tap ranges. The forward's tap sum reads
+    the view and the backward builds it again for the weight gradient, so
+    no backward holds the padded copy.
+    """
+    rows, cols = live
+    return _tap_view(_pad(x, padding, last=last), (len(rows), len(cols)), out,
+                     (rows.start * dilation[0], cols.start * dilation[1]),
+                     dilation, stride)
+
+
 def conv2d(x, w, b=None, stride=1, padding=0, dilation=1, groups=1):
     """Direct grouped/strided/dilated 2-D convolution (cross-correlation).
 
@@ -810,25 +860,26 @@ def conv2d(x, w, b=None, stride=1, padding=0, dilation=1, groups=1):
 
     depthwise_path = g == cin == cout
 
+    # The backward builds the columns and the tap view again from the input.
+    # Its closure keeps alive every name it reads, so it reads none that
+    # holds either.
     if depthwise_path:
         # per-channel taps: sum w[c, 0, i, j] * window tap over the live taps
-        rows, cols = _live_taps((h, wdt), kernel, stride, padding, dilation, (oh, ow))
-        th, tw = len(rows), len(cols)
-        dh, dw = dilation
-        xp = _pad(x.data, padding, last=_dw_batched(th * tw, n * cout * oh * ow))
-        win = _tap_view(xp, (th, tw), (oh, ow), (rows.start * dh, cols.start * dw),
-                        dilation, stride)
-        out = _tap_sum(win, w.data[:, 0, rows.start:rows.stop, cols.start:cols.stop])
+        live = rows, cols = _live_taps((h, wdt), kernel, stride, padding, dilation,
+                                       (oh, ow))
+        out = _tap_sum(
+            _dw_taps(x.data, live, (oh, ow), stride, padding, dilation,
+                     last=_dw_batched(len(rows) * len(cols), n * cout * oh * ow)),
+            w.data[:, 0, rows.start:rows.stop, cols.start:cols.stop])
     else:
-        # one batched contraction over (n, group): (cout/g, cg*kh*kw) @ cols
+        # one batched contraction over (n, group): (cout/g, cg*kh*kw) @ columns.
+        # xp lives to the return: freed before the matmul's output was
+        # allocated, it raised glibc's mmap threshold, and the peak RSS of a
+        # 256x256 `evaluate` by 4 MiB
         xp = _pad(x.data, padding)
         pointwise = kernel == stride == (1, 1) and padding == (0, 0)
-        if pointwise:
-            cols = xp.reshape(n, g, cg, h * wdt)  # a 1x1 kernel's columns
-        else:
-            cols = _tap_view(xp, kernel, (oh, ow), (0, 0), dilation, stride).transpose(
-                2, 3, 0, 1, 4, 5).reshape(n, g, cg * kh * kw, oh * ow)
-        out = np.matmul(w.data.reshape(g, cout // g, -1), cols).reshape(
+        out = np.matmul(w.data.reshape(g, cout // g, -1),
+                        _columns(xp, g, kernel, (oh, ow), stride, dilation)).reshape(
             n, cout, oh, ow)
     flops = 2 * kh * kw * (cin // g) * cout * oh * ow * n
     if b is not None:
@@ -842,16 +893,21 @@ def conv2d(x, w, b=None, stride=1, padding=0, dilation=1, groups=1):
             _acc(b, g_out.sum(axis=(0, 2, 3)))
         if depthwise_path:
             if w.requires_grad:
+                # channels-first: the C-order products below have the
+                # forward's bits whatever the view's layout
+                win = _dw_taps(x.data, live, (oh, ow), stride, padding, dilation,
+                               last=False)
                 gw = np.zeros_like(w.data)  # a dead tap's gradient is zero
                 for ti, i in enumerate(rows):
                     for tj, j in enumerate(cols):
                         # C order: the sum's bits follow the product's layout
                         gw[:, 0, i, j] = np.multiply(g_out, win[ti, tj], order="C").sum(
                             axis=(0, 2, 3))
+                del win   # before the input gradient's buffers
                 _acc(w, gw)
             if x.requires_grad and stride == (1, 1):
-                gwin = _adjoint_view(g_out, (h, wdt), (rows, cols), dilation, padding,
-                                     last=_dw_batched(th * tw, x.data.size))
+                gwin = _adjoint_view(g_out, (h, wdt), live, dilation, padding,
+                                     last=_dw_batched(len(rows) * len(cols), x.data.size))
                 _acc(x, _tap_sum(
                     gwin, w.data[:, 0, rows.start:rows.stop, cols.start:cols.stop]))
             elif x.requires_grad:
@@ -861,7 +917,10 @@ def conv2d(x, w, b=None, stride=1, padding=0, dilation=1, groups=1):
             return
         gog = g_out.reshape(n, g, cout // g, oh * ow)
         if w.requires_grad:
-            gw = np.matmul(gog, cols.transpose(0, 1, 3, 2)).sum(axis=0)
+            columns = _columns(_pad(x.data, padding), g, kernel, (oh, ow), stride,
+                               dilation)
+            gw = np.matmul(gog, columns.transpose(0, 1, 3, 2)).sum(axis=0)
+            del columns   # before the input gradient's buffers
             _acc(w, gw.reshape(w.data.shape))
         if x.requires_grad:
             # w.data is read here, not captured from the forward: SGD rebinds

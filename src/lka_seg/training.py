@@ -95,9 +95,9 @@ class OhemConfig:
 def _check_labels(labels, class_count, ignore_index):
     bad = (labels != ignore_index) & ((labels < 0) | (labels >= class_count))
     if bad.any():
-        where = np.argwhere(bad)[0]
+        where = tuple(int(i) for i in np.argwhere(bad)[0])
         raise ValueError(
-            f"label {labels[tuple(where)]} at {tuple(where)} outside "
+            f"label {labels[where]} at {where} outside "
             f"[0, {class_count}) and != ignore_index {ignore_index}"
         )
 

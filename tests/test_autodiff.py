@@ -1,5 +1,7 @@
 """Finite-difference checks for every primitive and the tape contract."""
 
+import gc
+import weakref
 from contextlib import ExitStack
 
 import numpy as np
@@ -46,6 +48,34 @@ def test_backward_twice_rejected(rng):
     loss.backward()
     with pytest.raises(RuntimeError, match="already ran"):
         loss.backward()
+
+
+def test_backward_frees_intermediate_activations(rng):
+    # held only through the graph, an activation lives until the last op
+    # that consumed it has run its backward
+    x = E.Parameter(rng.normal(size=(1, 2, 3, 3)))
+    h = E.relu(E.mul(x, x))
+    act = weakref.ref(h.data)
+    loss = sum_all(E.mul(h, E.add(h, 1.0)))
+    del h
+    gc.collect()
+    assert act() is not None
+    loss.backward()
+    gc.collect()
+    assert act() is None
+    assert x.grad is not None
+
+
+def test_second_sweep_through_a_swept_graph_rejected(rng):
+    x = E.Parameter(rng.normal(size=(2,)))
+    inner = sum_all(E.mul(x, x))   # a scalar op output inside the graph
+    loss = E.mul(inner, 3.0)
+    loss.backward()
+    with pytest.raises(RuntimeError, match="already ran"):
+        inner.backward()
+    with pytest.raises(RuntimeError, match="already ran"):
+        E.mul(inner, 2.0).backward()   # a new loss on a swept graph
+    np.testing.assert_allclose(x.grad, 6.0 * x.data)
 
 
 def test_grad_accumulates_across_uses(rng):

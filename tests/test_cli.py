@@ -4,6 +4,7 @@ import json
 import os
 import re
 import shutil
+import struct
 import subprocess
 import sys
 from pathlib import Path
@@ -158,7 +159,11 @@ class TestTrain:
         rc = main(["train", "--config", cfg, "--data", data,
                    "--out", str(tmp_path / "run"), "--val-count", "2"])
         assert rc == 2
-        assert "outside [0, 3)" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert re.search(r"lbl_\d{5}\.pgm: label [34] at row \d+, column \d+ "
+                         r"outside \[0, 3\)", err), err
+        assert "np.int64" not in err
+        assert not (tmp_path / "run").exists()
 
     def test_truncated_image_exits_4_naming_file(self, tmp_path, capsys):
         data = synth(tmp_path, count=8, classes=3)
@@ -691,3 +696,46 @@ def test_removed_option_exits_2_naming_it(tmp_path, monkeypatch, capsys, command
     assert exc.value.code == 2
     assert f"unrecognized arguments: {option} 1" in capsys.readouterr().err
     assert os.listdir(tmp_path) == []
+
+
+def _dataset_fault(tmp_path, fault):
+    """A 3-class dataset, config and checkpoint for `eval`, with one fault;
+    returns the argv."""
+    data = synth(tmp_path, count=4, classes=5 if fault == "label" else 3)
+    cfg = write_config(tmp_path, TINY_CONFIG)
+    ckpt = str(tmp_path / "model.ckpt")
+    model_doc = dict(TINY_CONFIG["model"])
+    if fault == "shape":
+        model_doc["class_count"] = 4
+    save_checkpoint(build_model(ModelConfig(**model_doc)), ckpt)
+    if fault in ("manifest.txt", "img_00003.ppm", "lbl_00002.pgm"):
+        os.remove(os.path.join(data, fault))
+    elif fault == "version":
+        blob = bytearray(Path(ckpt).read_bytes())
+        blob[4:8] = struct.pack("<I", 2)
+        Path(ckpt).write_bytes(bytes(blob))
+    elif fault == "config":
+        cfg = str(tmp_path / "missing.json")
+    return ["eval", "--config", cfg, "--ckpt", ckpt, "--data", data]
+
+
+@pytest.mark.parametrize("fault, code, message", [
+    ("manifest.txt", 4, "manifest.txt"),
+    ("img_00003.ppm", 4, "img_00003.ppm"),
+    ("lbl_00002.pgm", 4, "lbl_00002.pgm"),
+    ("label", 2, "outside [0, 3) and not the ignore label 255"),
+    ("version", 4, "model.ckpt: version 2, expected 1"),
+    ("shape", 4, "shape mismatch for"),
+    ("config", 4, "missing.json"),
+], ids=["no-manifest", "no-image", "no-label-map", "label-range",
+        "checkpoint-version", "checkpoint-shape", "no-config"])
+def test_exit_code_table_rows(tmp_path, capsys, fault, code, message):
+    # the rows of README's exit-code table that no other test runs
+    argv = _dataset_fault(tmp_path, fault)
+    capsys.readouterr()
+    rc = main(argv)
+    captured = capsys.readouterr()
+    assert rc == code
+    assert message in captured.err, captured.err
+    prefix = {2: "error: ", 4: "io error: "}[code]
+    assert captured.err.startswith(prefix) and captured.out == ""

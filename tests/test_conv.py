@@ -714,28 +714,64 @@ def test_tap_stepping_over_every_cell_matches_scatter_bytes(dw):
     assert xt.grad.tobytes() == want.tobytes()
 
 
-@pytest.mark.parametrize("op", [
-    lambda x: E.conv2d(x, E.Parameter(np.ones((4, 3, 3, 3))), padding=1),
-    lambda x: E.conv2d(x, E.Parameter(np.ones((4, 3, 3, 3))), stride=2, padding=1),
-    lambda x: E.avg_pool(x, 3, 2, 1),
-], ids=["dense", "strided-dense", "avg-pool"])
-def test_backward_does_not_hold_padded_copy(op, monkeypatch):
-    # the im2col columns and the pool's sums are their own arrays, and the
-    # scatter needs only the input's shape, so the padded copy dies with
-    # the forward while its output, and so its backward, lives on
-    copies = []
-    pad = E._pad
+def _spy_on(monkeypatch, name):
+    """Weak references to the memory of every array `E.<name>` returns."""
+    refs = []
+    real = getattr(E, name)
 
     def spy(*args, **kwargs):
-        out = pad(*args, **kwargs)
-        copies.append(weakref.ref(out))
+        out = real(*args, **kwargs)
+        refs.append(weakref.ref(out if out.base is None else out.base))
         return out
 
-    monkeypatch.setattr(E, "_pad", spy)
+    monkeypatch.setattr(E, name, spy)
+    return refs
+
+
+_GRAD_OPS = {
+    "dense": lambda x: E.conv2d(x, E.Parameter(np.ones((4, 3, 3, 3))), padding=1),
+    "strided-dense": lambda x: E.conv2d(x, E.Parameter(np.ones((4, 3, 3, 3))),
+                                        stride=2, padding=1),
+    "grouped": lambda x: E.conv2d(x, E.Parameter(np.ones((6, 1, 3, 3))), padding=1,
+                                  groups=3),
+    "depthwise": lambda x: E.conv2d(x, E.Parameter(np.ones((3, 1, 5, 5))), padding=2,
+                                    groups=3),
+    "depthwise-strip": lambda x: E.conv2d(x, E.Parameter(np.ones((3, 1, 1, 11))),
+                                          padding=(0, 15), dilation=(1, 3), groups=3),
+    "strided-depthwise": lambda x: E.conv2d(x, E.Parameter(np.ones((3, 1, 3, 3))),
+                                            stride=2, groups=3),
+    "avg-pool": lambda x: E.avg_pool(x, 3, 2, 1),
+}
+
+
+@pytest.mark.parametrize("op", _GRAD_OPS.values(), ids=_GRAD_OPS.keys())
+def test_backward_does_not_hold_padded_copy(op, monkeypatch):
+    # the backward builds the im2col columns and the depthwise tap view
+    # again, and the scatter needs only the input's shape, so the padded
+    # copy dies with the forward while its output, and so its backward,
+    # lives on
+    copies = _spy_on(monkeypatch, "_pad")
     out = op(E.Parameter(np.random.default_rng(41).normal(size=(2, 3, 6, 6))))
     assert out.requires_grad and copies
     gc.collect()
     assert [ref() for ref in copies] == [None] * len(copies)
+
+
+@pytest.mark.parametrize("op", [_GRAD_OPS[k] for k in ("dense", "strided-dense",
+                                                       "grouped")],
+                         ids=["dense", "strided-dense", "grouped"])
+def test_backward_does_not_hold_im2col_columns(op, monkeypatch):
+    columns = _spy_on(monkeypatch, "_columns")
+    x = E.Parameter(np.random.default_rng(42).normal(size=(2, 3, 6, 6)))
+    out = op(x)
+    assert out.requires_grad and len(columns) == 1
+    gc.collect()
+    assert columns[0]() is None
+    # the backward builds them again, and drops them too
+    sum_all(out).backward()
+    assert x.grad is not None and len(columns) == 2
+    gc.collect()
+    assert columns[1]() is None
 
 
 def _pointwise_im2col(x, w, groups):

@@ -4,7 +4,9 @@ import dataclasses
 import hashlib
 import math
 import os
+import re
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -427,8 +429,11 @@ class TestTrainLoop:
         model = build_model(TINY_MODEL, seed=0)
         data = tiny_data(4, k=5)
         cfg = TrainConfig(epochs=1, batch_size=4, base_lr=0.01, seed=0)
-        with pytest.raises(ValueError, match="outside"):  # not NumericalAbort
+        with pytest.raises(ValueError, match="outside") as err:  # not NumericalAbort
             train_model(model, data, data, cfg)
+        # plain integers, not numpy scalars' reprs
+        assert re.search(r"^label [34] at \(\d+, \d+, \d+\) outside",
+                         str(err.value)), err.value
 
     def test_empty_dataset_rejected(self):
         model = build_model(TINY_MODEL, seed=0)
@@ -637,3 +642,23 @@ class TestCheckpointWrites:
         lines = (tmp_path / "metrics.csv").read_text().splitlines()
         assert len(lines) == 2
         assert lines[0] == "epoch,loss,miou,lr" and lines[1].startswith("0,")
+
+
+def test_train_step_peak_memory():
+    # one b4 64x64 step of criterion 7's model: the backward keeps no im2col
+    # columns or padded taps, and the sweep frees each activation once its
+    # consumers' backwards have run (28.8 MiB traced peak when it did
+    # neither, 14.3 MiB on a 2-core x86_64 host)
+    from lka_seg.model import preset_config
+    model = build_model(preset_config("toy", class_count=5, fuse_width=48,
+                                      head_width=48), seed=2)
+    data = synth_dataset(SynthSpec(seed=7, count=4, class_count=5, density=0.5,
+                                   min_shape=28))
+    images, labels = training._collate(data)
+    tracemalloc.start()
+    try:
+        training._train_step(model, images, labels)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 18 * 2**20, peak / 2**20
