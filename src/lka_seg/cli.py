@@ -22,7 +22,7 @@ import numpy as np
 
 from . import analysis, data_io
 from . import engine as E
-from .model import ModelConfig, build_model, preset_config
+from .model import ModelConfig, _check_input_shape, build_model, preset_config
 from .training import IGNORE_INDEX, NumericalAbort, TrainConfig, evaluate, train_model
 
 EXIT_OK = 0
@@ -100,9 +100,7 @@ def load_config(path):
             model_cfg = preset_config(preset, **model_doc)
         else:
             model_cfg = ModelConfig(**model_doc)
-        model_cfg.validate()
         train_cfg = TrainConfig(**train_doc)
-        train_cfg.validate()
     except (TypeError, ValueError) as err:
         raise ConfigError(f"{path}: {err}") from err
     return model_cfg, train_cfg
@@ -113,21 +111,32 @@ def _build_from_args(args):
     return build_model(model_cfg, train_cfg.seed), model_cfg, train_cfg
 
 
+def _check_image_size(path, image):
+    """`ValueError` naming `path` unless the model takes `image`'s size."""
+    try:
+        _check_input_shape((1, *image.shape))
+    except ValueError as err:
+        raise ValueError(f"{path}: {err}") from None
+
+
 def _load_samples(data_dir, class_count):
     """The samples of a dataset directory, which must exist, with every
-    label below `class_count` or the ignore label."""
+    label below `class_count` or the ignore label, and images of a size
+    the model takes."""
     if not os.path.isdir(data_dir):
         raise ConfigError(f"dataset directory {data_dir!r} does not exist")
-    return data_io.load_dataset(data_dir, class_count, IGNORE_INDEX)[0]
+    samples = data_io.load_dataset(data_dir, class_count, IGNORE_INDEX)[0]
+    # load_dataset gives every image the first one's size
+    _check_image_size(os.path.join(data_dir, "img_00000.ppm"), samples[0].image)
+    return samples
 
 
 def cmd_synth_data(args):
-    spec = data_io.SynthSpec(
-        seed=args.seed, count=args.count, height=args.height, width=args.width,
-        class_count=args.classes, density=args.density, min_shape=args.min_shape,
-    )
     try:
-        spec.validate()
+        spec = data_io.SynthSpec(
+            seed=args.seed, count=args.count, height=args.height, width=args.width,
+            class_count=args.classes, density=args.density, min_shape=args.min_shape,
+        )
     except ValueError as err:
         raise ConfigError(str(err)) from err
     samples = data_io.synth_dataset(spec)
@@ -185,6 +194,7 @@ def cmd_infer(args):
     model = build_model(model_cfg, train_cfg.seed)
     data_io.load_into_model(model, args.ckpt)
     image = data_io.read_ppm(args.image)
+    _check_image_size(args.image, image)
     with E.no_grad():
         out = model(E.Tensor(image[None]), "eval")
     labels = out.seg_logits.data.argmax(axis=1)[0]

@@ -86,7 +86,7 @@ class SynthSpec:
     density: float = 1.0
     min_shape: int = 10
 
-    def validate(self):
+    def __post_init__(self):
         if self.seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
         if self.count < 1:
@@ -171,7 +171,6 @@ def _paint_scene(rng, spec, class_offset=0):
 
 def synth_dataset(spec: SynthSpec):
     """Deterministic list of samples; identical spec, identical bytes."""
-    spec.validate()
     children = np.random.SeedSequence(spec.seed).spawn(spec.count)
     out = []
     for i, child in enumerate(children):
@@ -291,21 +290,20 @@ def read_pgm(path):
 # ---------------------------------------------------------------------------
 
 
-def write_dataset(samples, out_dir, spec=None):
+def write_dataset(samples, out_dir, spec):
     os.makedirs(out_dir, exist_ok=True)
     for i, s in enumerate(samples):
         write_ppm(os.path.join(out_dir, f"img_{i:05d}.ppm"), s.image)
         write_pgm(os.path.join(out_dir, f"lbl_{i:05d}.pgm"), s.labels)
-    lines = [f"count={len(samples)}"]
-    if spec is not None:
-        lines += [
-            f"seed={spec.seed}",
-            f"height={spec.height}",
-            f"width={spec.width}",
-            f"class_count={spec.class_count}",
-            f"density={spec.density}",
-            f"min_shape={spec.min_shape}",
-        ]
+    lines = [
+        f"count={len(samples)}",
+        f"seed={spec.seed}",
+        f"height={spec.height}",
+        f"width={spec.width}",
+        f"class_count={spec.class_count}",
+        f"density={spec.density}",
+        f"min_shape={spec.min_shape}",
+    ]
     _atomic_write(os.path.join(out_dir, "manifest.txt"),
                   ("\n".join(lines) + "\n").encode("ascii"))
 

@@ -6,39 +6,40 @@ im2col-style contraction, no FFT/Winograd), cross-correlation convention,
 zero padding. Convolution and pooling share one geometry: the input is
 copied into a zero-filled buffer of the padded shape (`_pad`), and
 every kernel tap is read through one read-only strided view of that
-buffer (`_tap_view`). Strided dense and grouped convs, strided depthwise
-convs and pooling add each tap's gradient back onto the unpadded input,
-one clipped strided slice per tap (`_scatter_taps`); every stride-1 conv
-gathers its input gradient instead, as below. No backward keeps a padded
-copy or the im2col columns: a dense conv's backward builds its columns
-again from the input (`_columns`) for the weight gradient, a depthwise
-conv's its tap view (`_dw_taps`), and the scatter needs only the input's
-shape. One more im2col copy per dense conv and step buys half a train
-step's peak traced memory: the rematerialization of Chen et al.,
-"Training Deep Nets with Sublinear Memory Cost" (2016), applied to the
-buffers that are cheap to rebuild.
+buffer (`_tap_view`). Strided convs and pooling add each tap's gradient
+back onto the unpadded input, one clipped strided slice per tap
+(`_scatter_taps`); every stride-1 conv gathers its input gradient
+instead, as below. No backward keeps a padded copy or the im2col
+columns: a dense conv's backward builds its columns again from the input
+(`_columns`) for the weight gradient, a depthwise conv's its tap view
+(`_dw_taps`), and the scatter needs only the input's shape. One more
+im2col copy per dense conv and step buys half a train step's peak traced
+memory: the rematerialization of Chen et al., "Training Deep Nets with
+Sublinear Memory Cost" (2016), applied to the buffers that are cheap to
+rebuild.
 
-`conv2d` has two contraction paths. A depthwise conv (groups = c_in =
-c_out) sums each output cell's tap products in row-major tap order,
+`conv2d` has two contraction paths. A stride-1 depthwise conv (groups =
+c_in = c_out) sums each output cell's tap products in row-major tap order,
 starting from 0.0 (`_tap_sum`). While the product of every live tap fits
 in `_DW_BATCH_MAX` elements (2 MiB), it forms all of them with one
 multiply on a channels-last buffer, so numpy's inner loop runs over
 ow * c elements, and adds them with one reduction over the tap axis; a
 larger sum multiplies and accumulates one tap at a time on a
 channels-first buffer, so the temporary stays small. Both give the same
-bits. A stride-1 depthwise conv takes its input gradient as the same tap
-sum over the output gradient, the adjoint correlation (Dumoulin and
-Visin, "A guide to convolution arithmetic for deep learning", 2016): tap
-(i, j) of input cell (y, x) reads the zero-padded output gradient at
-(y + ph - i*dh, x + pw - j*dw), a view with negative tap strides. Each
-cell gets the products `_scatter_taps` would add, in the same order and
-from +0.0; a read that lands in the padding adds +-0.0, which cannot
-change a partial sum started from +0.0, so the bits are the scatter's.
-Every other conv is one batched matmul of the per-group weight matrix
-against the im2col columns, shaped (n, groups, c_in/groups * kh * kw,
-oh * ow); for a 1x1 kernel at stride 1 without padding the columns are
-the input itself, reshaped. Its backward's matmul gives the gradient
-reaching each tap. At stride 1 each input cell then adds those at
+bits. Its input gradient is the same tap sum over the output gradient,
+the adjoint correlation (Dumoulin and Visin, "A guide to convolution
+arithmetic for deep learning", 2016): tap (i, j) of input cell (y, x)
+reads the zero-padded output gradient at (y + ph - i*dh, x + pw - j*dw),
+a view with negative tap strides. Each cell gets the products
+`_scatter_taps` would add, in the same order and from +0.0; a read that
+lands in the padding adds +-0.0, which cannot change a partial sum
+started from +0.0, so the bits are the scatter's. Every other conv, a
+strided depthwise one included, is one batched matmul of the per-group
+weight matrix against the im2col columns, shaped (n, groups,
+c_in/groups * kh * kw, oh * ow); for a 1x1 kernel at stride 1 without
+padding the columns are the input itself, reshaped. Its backward's
+matmul gives the gradient reaching each tap. At stride 1 each input cell
+then adds those at
 (y + ph - i*dh, x + pw - j*dw) over the live taps, in row-major order from
 +0.0 (`_dense_input_grad`), the scatter's sums again: on small maps as one
 copy of the reversed-stride view and one reduction over the tap axis,
@@ -80,8 +81,8 @@ Conventions fixed here and relied on everywhere else:
   * the selector softmax subtracts the (detached) max over its branch
     axis before exp.
 
-A FLOP meter can be armed in a thread with `flop_meter()`. Every op
-hands its nominal FLOPs, by the conventions documented in
+A FLOP meter can be armed with `flop_meter()`. Every op hands its
+nominal FLOPs, by the conventions documented in
 `lka_seg.costs`, to `_record` with its output, and `_record` adds them to
 the armed meter (the static model mirrors the same table independently).
 `_record` is also where armed `op_checks` see each op.
@@ -89,7 +90,6 @@ the armed meter (the static model mirrors the same table independently).
 
 from __future__ import annotations
 
-import threading
 from contextlib import contextmanager
 from functools import lru_cache
 
@@ -139,11 +139,13 @@ _DW_BATCH_MAX = 1 << 18
 _DENSE_GATHER_MAX = 1 << 13
 
 
-class _State(threading.local):
-    def __init__(self):
-        self.grad_enabled = True
-        self.meter = None
-        self.checks = None   # an _OpChecks while `op_checks` is armed
+class _State:
+    """The engine's switches, one set for the process (the package starts
+    no thread); `_armed` sets one for a block."""
+
+    grad_enabled = True
+    meter = None
+    checks = None   # an _OpChecks while `op_checks` is armed
 
 
 _state = _State()
@@ -301,7 +303,7 @@ def _acc(t, g):
 
 
 class _OpChecks:
-    """State of one armed `op_checks` block in one thread."""
+    """State of one armed `op_checks` block."""
 
     def __init__(self, names):
         self.names = names   # id(module) -> its module path
@@ -335,7 +337,7 @@ class _OpChecks:
 
 
 def op_checks(names):
-    """Arm per-op finiteness checks in this thread for the block.
+    """Arm per-op finiteness checks for the block.
 
     `names` maps `id(module)` to its module path; `Module.__call__` keeps
     the stack of modules being called while armed, so a failing op is
@@ -803,9 +805,9 @@ def _columns(xp, groups, kernel, out, stride, dilation):
         2, 3, 0, 1, 4, 5).reshape(n, groups, -1, out[0] * out[1])
 
 
-def _dw_taps(x, live, out, stride, padding, dilation, last):
-    """A depthwise conv's live taps: `_tap_view` (th, tw, n, c, oh, ow) over
-    `_pad`'s buffer of `x`, channels-last with `last`.
+def _dw_taps(x, live, out, padding, dilation, last):
+    """A stride-1 depthwise conv's live taps: `_tap_view` (th, tw, n, c, oh, ow)
+    over `_pad`'s buffer of `x`, channels-last with `last`.
 
     `live` is `_live_taps`'s pair of tap ranges. The forward's tap sum reads
     the view and the backward builds it again for the weight gradient, so
@@ -814,7 +816,7 @@ def _dw_taps(x, live, out, stride, padding, dilation, last):
     rows, cols = live
     return _tap_view(_pad(x, padding, last=last), (len(rows), len(cols)), out,
                      (rows.start * dilation[0], cols.start * dilation[1]),
-                     dilation, stride)
+                     dilation, (1, 1))
 
 
 def conv2d(x, w, b=None, stride=1, padding=0, dilation=1, groups=1):
@@ -858,7 +860,7 @@ def conv2d(x, w, b=None, stride=1, padding=0, dilation=1, groups=1):
             f"{(kh - 1) * dh + 1}x{(kw - 1) * dw + 1}, padding {ph}x{pw}"
         )
 
-    depthwise_path = g == cin == cout
+    depthwise_path = g == cin == cout and stride == (1, 1)
 
     # The backward builds the columns and the tap view again from the input.
     # Its closure keeps alive every name it reads, so it reads none that
@@ -868,7 +870,7 @@ def conv2d(x, w, b=None, stride=1, padding=0, dilation=1, groups=1):
         live = rows, cols = _live_taps((h, wdt), kernel, stride, padding, dilation,
                                        (oh, ow))
         out = _tap_sum(
-            _dw_taps(x.data, live, (oh, ow), stride, padding, dilation,
+            _dw_taps(x.data, live, (oh, ow), padding, dilation,
                      last=_dw_batched(len(rows) * len(cols), n * cout * oh * ow)),
             w.data[:, 0, rows.start:rows.stop, cols.start:cols.stop])
     else:
@@ -895,8 +897,7 @@ def conv2d(x, w, b=None, stride=1, padding=0, dilation=1, groups=1):
             if w.requires_grad:
                 # channels-first: the C-order products below have the
                 # forward's bits whatever the view's layout
-                win = _dw_taps(x.data, live, (oh, ow), stride, padding, dilation,
-                               last=False)
+                win = _dw_taps(x.data, live, (oh, ow), padding, dilation, last=False)
                 gw = np.zeros_like(w.data)  # a dead tap's gradient is zero
                 for ti, i in enumerate(rows):
                     for tj, j in enumerate(cols):
@@ -905,15 +906,11 @@ def conv2d(x, w, b=None, stride=1, padding=0, dilation=1, groups=1):
                             axis=(0, 2, 3))
                 del win   # before the input gradient's buffers
                 _acc(w, gw)
-            if x.requires_grad and stride == (1, 1):
+            if x.requires_grad:
                 gwin = _adjoint_view(g_out, (h, wdt), live, dilation, padding,
                                      last=_dw_batched(len(rows) * len(cols), x.data.size))
                 _acc(x, _tap_sum(
                     gwin, w.data[:, 0, rows.start:rows.stop, cols.start:cols.stop]))
-            elif x.requires_grad:
-                _acc(x, _scatter_taps(
-                    x.shape, lambda i, j: g_out * w.data[None, :, 0, i, j, None, None],
-                    kernel, stride, dilation, padding))
             return
         gog = g_out.reshape(n, g, cout // g, oh * ow)
         if w.requires_grad:

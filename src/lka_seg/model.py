@@ -68,22 +68,19 @@ class ModelConfig:
             head_width=self.head_width or 2 * self.low_width,
         )
 
-    def validate(self):
+    def __post_init__(self):
         if self.class_count < 2:
             raise ValueError(f"class_count must be >= 2, got {self.class_count}")
-        resolved = self.resolved()   # a width of 0 stands for 2 * low_width
         for name in ("stem_width", "low_width", "mid_width", "high_width",
                      "blocks_per_stage", "fuse_width", "head_width"):
-            if getattr(resolved, name) < 1:
-                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
+            value = getattr(self, name)
+            # a fuse or head width of 0 stands for 2 * low_width
+            if value < (0 if name in ("fuse_width", "head_width") else 1):
+                raise ValueError(f"{name} must be >= 1, got {value}")
         if self.ppm not in ("dappm", "dlkppm"):
             raise ValueError(f"ppm must be 'dappm' or 'dlkppm', got {self.ppm!r}")
         if not np.isnan(self.fixed_gate) and not (0.0 < self.fixed_gate < 1.0):
             raise ValueError(f"fixed_gate must lie in (0, 1), got {self.fixed_gate}")
-
-    @property
-    def gate_is_fixed(self):
-        return not np.isnan(self.fixed_gate)
 
 
 def preset_config(name, **overrides):
@@ -178,7 +175,6 @@ class BilateralNet(Module):
 
     def __init__(self, cfg: ModelConfig, rng):
         super().__init__()
-        cfg.validate()
         cfg = cfg.resolved()
         self.cfg = cfg
         low, mid, high = cfg.low_width, cfg.mid_width, cfg.high_width
@@ -215,7 +211,7 @@ class BilateralNet(Module):
         # the gate reads the boundary feature, which keeps `low` channels
         self.fuse = BoundaryGuidedFusion(
             low, high, low, cfg.fuse_width, rng,
-            fixed_sigma=None if not cfg.gate_is_fixed else cfg.fixed_gate,
+            fixed_sigma=None if np.isnan(cfg.fixed_gate) else cfg.fixed_gate,
         )
         self.seg_head = Sequential(
             BatchNorm2d(cfg.fuse_width), ReLU(),
@@ -346,6 +342,5 @@ def rf_paths():
 
 def build_model(cfg: ModelConfig, seed=0):
     """Deterministically initialized network: same seed, identical bits."""
-    cfg.validate()
     rng = np.random.default_rng(seed)
     return BilateralNet(cfg, rng)

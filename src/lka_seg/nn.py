@@ -181,11 +181,9 @@ class Conv2d(Module):
 class BatchNorm2d(Module):
     """Batch normalization with running statistics buffers."""
 
-    def __init__(self, channels, eps=1e-5, momentum=0.1):
+    def __init__(self, channels):
         super().__init__()
         self.channels = channels
-        self.eps = eps
-        self.momentum = momentum
         self.gamma = E.Parameter(np.ones(channels))
         self.beta = E.Parameter(np.zeros(channels))
         self.register_buffer("running_mean", np.zeros(channels))
@@ -193,7 +191,7 @@ class BatchNorm2d(Module):
 
     def forward(self, x, mode="eval"):
         return E.batch_norm(x, self.gamma, self.beta, self.running_mean,
-                            self.running_var, mode, self.momentum, self.eps)
+                            self.running_var, mode)
 
     def cost(self, in_shape, prefix=""):
         rec, out = costs.norm_cost(prefix or "bn", in_shape)

@@ -82,8 +82,8 @@ class NumericalAbort(RuntimeError):
 
 @dataclass(frozen=True)
 class OhemConfig:
-    threshold: float = 0.7
-    min_kept: int = 1
+    threshold: float
+    min_kept: int
 
     def __post_init__(self):
         if not (0.0 < self.threshold <= 1.0):
@@ -92,13 +92,13 @@ class OhemConfig:
             raise ValueError(f"min_kept must be positive, got {self.min_kept}")
 
 
-def _check_labels(labels, class_count, ignore_index):
-    bad = (labels != ignore_index) & ((labels < 0) | (labels >= class_count))
+def _check_labels(labels, class_count):
+    bad = (labels != IGNORE_INDEX) & ((labels < 0) | (labels >= class_count))
     if bad.any():
         where = tuple(int(i) for i in np.argwhere(bad)[0])
         raise ValueError(
             f"label {labels[where]} at {where} outside "
-            f"[0, {class_count}) and != ignore_index {ignore_index}"
+            f"[0, {class_count}) and != ignore_index {IGNORE_INDEX}"
         )
 
 
@@ -140,14 +140,14 @@ def _masked_nll(logits, labels, keep, shifted=None):
     return E.custom_op(np.asarray(loss), (logits,), bwd)
 
 
-def cross_entropy(logits, labels, ignore_index=IGNORE_INDEX):
-    """Mean pixel NLL over non-ignored pixels."""
+def cross_entropy(logits, labels):
+    """Mean pixel NLL over the pixels not labelled `IGNORE_INDEX`."""
     labels = np.asarray(labels)
-    _check_labels(labels, logits.data.shape[1], ignore_index)
-    return _masked_nll(logits, labels, labels != ignore_index)
+    _check_labels(labels, logits.data.shape[1])
+    return _masked_nll(logits, labels, labels != IGNORE_INDEX)
 
 
-def ohem_cross_entropy(logits, labels, cfg: OhemConfig, ignore_index=IGNORE_INDEX):
+def ohem_cross_entropy(logits, labels, cfg: OhemConfig):
     """Cross-entropy over the hard pixels only.
 
     A pixel is hard when its predicted true-class probability is below
@@ -156,8 +156,8 @@ def ohem_cross_entropy(logits, labels, cfg: OhemConfig, ignore_index=IGNORE_INDE
     clamped to the number of valid pixels.
     """
     labels = np.asarray(labels)
-    _check_labels(labels, logits.data.shape[1], ignore_index)
-    valid = labels != ignore_index
+    _check_labels(labels, logits.data.shape[1])
+    valid = labels != IGNORE_INDEX
     n_valid = int(valid.sum())
     if n_valid == 0 or cfg.threshold >= 1.0:
         return _masked_nll(logits, labels, valid)
@@ -212,25 +212,21 @@ def boundary_bce(boundary_logits, boundary_mask):
     return E.custom_op(np.asarray(loss), (boundary_logits,), bwd)
 
 
-def poly_lr(base_lr, iteration, max_iter, power=POLY_POWER):
-    """base_lr * (1 - iteration / max_iter) ** power."""
+def poly_lr(base_lr, iteration, max_iter):
+    """base_lr * (1 - iteration / max_iter) ** POLY_POWER."""
     if not 0 <= iteration <= max_iter:
         raise ValueError(f"iteration {iteration} outside [0, {max_iter}]")
-    if power <= 0:
-        raise ValueError(f"power must be positive, got {power}")
-    return base_lr * (1.0 - iteration / max_iter) ** power
+    return base_lr * (1.0 - iteration / max_iter) ** POLY_POWER
 
 
 class SGD:
     """Momentum SGD with coupled weight decay.
 
-    v <- momentum * v + grad + weight_decay * w;  w <- w - lr * v
+    v <- MOMENTUM * v + grad + WEIGHT_DECAY * w;  w <- w - lr * v
     """
 
-    def __init__(self, named_params, momentum=0.9, weight_decay=0.0):
+    def __init__(self, named_params):
         self.params = list(named_params)
-        self.momentum = momentum
-        self.weight_decay = weight_decay
         self.velocity = {name: np.zeros_like(p.data) for name, p in self.params}
 
     def step(self, lr):
@@ -242,11 +238,10 @@ class SGD:
                     f"{name} shape {p.data.shape}"
                 )
             v = self.velocity[name]
-            v *= self.momentum
+            v *= MOMENTUM
             if g is not None:
                 v += g
-            if self.weight_decay:
-                v += self.weight_decay * p.data
+            v += WEIGHT_DECAY * p.data
             p.data = p.data - lr * v
 
     def zero_grad(self):
@@ -272,9 +267,6 @@ class ConfusionMatrix:
             raise ValueError("labels outside [0, class_count)")
         self.mat += np.bincount(k * truth + pred, minlength=k * k).reshape(k, k)
         return self
-
-    def total(self):
-        return int(self.mat.sum())
 
 
 def miou(cm: ConfusionMatrix):
@@ -327,7 +319,7 @@ class TrainConfig:
     base_lr: float = 0.05
     seed: int = 0
 
-    def validate(self):
+    def __post_init__(self):
         if self.epochs < 1 or self.batch_size < 1:
             raise ValueError("epochs and batch_size must be positive")
         if not (np.isfinite(self.base_lr) and self.base_lr >= 0):
@@ -442,12 +434,11 @@ def train_model(model, train_data, val_data, cfg: TrainConfig, out_dir=None,
     """
     from .data_io import _atomic_write, save_checkpoint
 
-    cfg.validate()
     if not train_data:
         raise ValueError("training dataset is empty")
     k = model.cfg.class_count
     rng = np.random.default_rng(cfg.seed)
-    opt = SGD(model.named_parameters(), MOMENTUM, WEIGHT_DECAY)
+    opt = SGD(model.named_parameters())
 
     n = len(train_data)
     steps = (n + cfg.batch_size - 1) // cfg.batch_size

@@ -1,11 +1,18 @@
-"""Guards on the public surface: no dead engine ops, no drifted command lists."""
+"""Guards on the public surface: no dead engine ops, no drifted command lists,
+no config that holds an invalid value."""
 
 import argparse
+import dataclasses
 import re
 from pathlib import Path
 
+import pytest
+
 import lka_seg.engine as E
 from lka_seg import cli
+from lka_seg.data_io import SynthSpec
+from lka_seg.model import ModelConfig
+from lka_seg.training import TrainConfig
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "lka_seg"
@@ -32,11 +39,12 @@ def test_every_engine_op_has_a_caller_in_the_package():
 
 
 def test_every_private_function_has_a_caller_in_the_package():
-    # a helper whose last caller is gone is dead code; tests do not count
+    # a helper or method whose last caller is gone is dead code; tests do
+    # not count, and dunders are called by Python itself
     source = "\n".join(path.read_text() for path in PACKAGE.glob("*.py"))
-    helpers = re.findall(r"^def (_\w+)\(", source, flags=re.M)
-    calls = re.sub(r"^def \w+\(", "", source, flags=re.M)
-    assert helpers
+    helpers = re.findall(r"^[ \t]*def (_(?!_)\w+)\(", source, flags=re.M)
+    calls = re.sub(r"^[ \t]*def \w+\(", "", source, flags=re.M)
+    assert {"_logits", "_degenerate", "_apply_gate"} <= set(helpers)
     assert [name for name in helpers if not re.search(rf"\b{name}\(", calls)] == []
 
 
@@ -88,3 +96,25 @@ def test_readme_layout_block_lists_every_module():
     listed = re.findall(r"^  (\w+\.py) ", block, flags=re.M)
     modules = sorted(p.name for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
     assert sorted(listed) == modules
+
+
+# one out-of-range value for every field of each config
+BAD_FIELDS = {
+    SynthSpec: dict(seed=-1, count=0, height=96, width=32, class_count=1,
+                    density=0.0, min_shape=3),
+    ModelConfig: dict(class_count=1, stem_width=0, low_width=0, mid_width=0,
+                      high_width=0, blocks_per_stage=0, ppm="aspp", fuse_width=-1,
+                      head_width=-1, fixed_gate=1.0),
+    TrainConfig: dict(epochs=0, batch_size=0, base_lr=float("nan"), seed=-1),
+}
+
+
+@pytest.mark.parametrize("cls", BAD_FIELDS, ids=lambda cls: cls.__name__)
+def test_no_config_holds_an_invalid_value(cls):
+    # a config checks itself when built, so `replace` cannot produce a bad one
+    bad = BAD_FIELDS[cls]
+    assert sorted(bad) == sorted(f.name for f in dataclasses.fields(cls))
+    valid = cls()
+    for name, value in bad.items():
+        with pytest.raises(ValueError, match=name):
+            dataclasses.replace(valid, **{name: value})

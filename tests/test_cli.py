@@ -14,7 +14,7 @@ import pytest
 
 import lka_seg
 from lka_seg.cli import main
-from lka_seg.data_io import load_into_model, save_checkpoint
+from lka_seg.data_io import load_into_model, save_checkpoint, write_pgm, write_ppm
 from lka_seg.model import ModelConfig, build_model
 from helpers import set_first_offset
 
@@ -716,7 +716,21 @@ def _dataset_fault(tmp_path, fault):
         Path(ckpt).write_bytes(bytes(blob))
     elif fault == "config":
         cfg = str(tmp_path / "missing.json")
+    elif fault == "data-size":
+        _resize_dataset(data, 4, (96, 96))
+    elif fault == "image-size":
+        image = str(tmp_path / "wide.ppm")
+        write_ppm(image, np.zeros((3, 64, 96)))
+        return ["infer", "--config", cfg, "--ckpt", ckpt, "--image", image,
+                "--out", str(tmp_path / "out.ppm")]
     return ["eval", "--config", cfg, "--ckpt", ckpt, "--data", data]
+
+
+def _resize_dataset(data, count, size):
+    """Overwrite every image and label map of `data` with blank ones of `size`."""
+    for i in range(count):
+        write_ppm(os.path.join(data, f"img_{i:05d}.ppm"), np.zeros((3, *size)))
+        write_pgm(os.path.join(data, f"lbl_{i:05d}.pgm"), np.zeros(size, np.uint8))
 
 
 @pytest.mark.parametrize("fault, code, message", [
@@ -727,8 +741,13 @@ def _dataset_fault(tmp_path, fault):
     ("version", 4, "model.ckpt: version 2, expected 1"),
     ("shape", 4, "shape mismatch for"),
     ("config", 4, "missing.json"),
+    ("data-size", 2, "img_00000.ppm: input spatial dims must be positive and "
+                     "divisible by 64, got 96x96"),
+    ("image-size", 2, "wide.ppm: input spatial dims must be positive and "
+                      "divisible by 64, got 64x96"),
 ], ids=["no-manifest", "no-image", "no-label-map", "label-range",
-        "checkpoint-version", "checkpoint-shape", "no-config"])
+        "checkpoint-version", "checkpoint-shape", "no-config", "data-size",
+        "image-size"])
 def test_exit_code_table_rows(tmp_path, capsys, fault, code, message):
     # the rows of README's exit-code table that no other test runs
     argv = _dataset_fault(tmp_path, fault)
@@ -739,3 +758,14 @@ def test_exit_code_table_rows(tmp_path, capsys, fault, code, message):
     assert message in captured.err, captured.err
     prefix = {2: "error: ", 4: "io error: "}[code]
     assert captured.err.startswith(prefix) and captured.out == ""
+
+
+def test_train_refuses_an_image_size_before_training(tmp_path, capsys):
+    data = synth(tmp_path, count=4)
+    _resize_dataset(data, 4, (96, 96))
+    out = tmp_path / "run"
+    rc = main(["train", "--config", write_config(tmp_path, TINY_CONFIG),
+               "--data", data, "--out", str(out), "--val-count", "1"])
+    assert rc == 2
+    assert "img_00000.ppm: input spatial dims" in capsys.readouterr().err
+    assert not out.exists()

@@ -739,7 +739,7 @@ _GRAD_OPS = {
     "depthwise-strip": lambda x: E.conv2d(x, E.Parameter(np.ones((3, 1, 1, 11))),
                                           padding=(0, 15), dilation=(1, 3), groups=3),
     "strided-depthwise": lambda x: E.conv2d(x, E.Parameter(np.ones((3, 1, 3, 3))),
-                                            stride=2, groups=3),
+                                            stride=2, padding=1, groups=3),
     "avg-pool": lambda x: E.avg_pool(x, 3, 2, 1),
 }
 
@@ -755,6 +755,15 @@ def test_backward_does_not_hold_padded_copy(op, monkeypatch):
     assert out.requires_grad and copies
     gc.collect()
     assert [ref() for ref in copies] == [None] * len(copies)
+
+
+@pytest.mark.parametrize("name, sums", [("depthwise", True), ("depthwise-strip", True),
+                                        ("strided-depthwise", False), ("grouped", False)])
+def test_only_stride_1_depthwise_convs_sum_taps(name, sums, monkeypatch):
+    # a strided depthwise conv is a grouped conv: the matmul, forward and back
+    calls = _spy_on(monkeypatch, "_tap_sum")
+    sum_all(_GRAD_OPS[name](E.Parameter(np.ones((2, 3, 6, 6))))).backward()
+    assert bool(calls) == sums
 
 
 @pytest.mark.parametrize("op", [_GRAD_OPS[k] for k in ("dense", "strided-dense",

@@ -62,20 +62,20 @@ class TestSynthDataset:
 
     def test_spec_validation(self):
         with pytest.raises(ValueError, match="class_count"):
-            SynthSpec(class_count=1).validate()
-        SynthSpec(class_count=len(PALETTE)).validate()
+            SynthSpec(class_count=1)
+        SynthSpec(class_count=len(PALETTE))
         with pytest.raises(ValueError, match=rf"class_count must be in \[2, {len(PALETTE)}\]"):
-            SynthSpec(class_count=len(PALETTE) + 1).validate()
+            SynthSpec(class_count=len(PALETTE) + 1)
         with pytest.raises(ValueError, match="seed must be >= 0, got -1"):
-            SynthSpec(seed=-1).validate()
+            SynthSpec(seed=-1)
         with pytest.raises(ValueError, match="divisible"):
-            SynthSpec(height=60).validate()
+            SynthSpec(height=60)
         with pytest.raises(ValueError, match="count"):
-            SynthSpec(count=0).validate()
-        SynthSpec(count=1, density=64).validate()
+            SynthSpec(count=0)
+        SynthSpec(count=1, density=64)
         for density in (64.5, 1e6):
             with pytest.raises(ValueError, match=r"density must be finite and in \(0, 64\]"):
-                SynthSpec(count=1, density=density).validate()
+                SynthSpec(count=1, density=density)
 
     @pytest.mark.parametrize("height,width", [(64, 64), (128, 64), (256, 64),
                                               (64, 192), (192, 128)])
@@ -83,7 +83,7 @@ class TestSynthDataset:
         # top // 2 is the largest circle radius, int(0.3 * min(height, width))
         top = 2 * int(0.3 * min(height, width)) + 1
         with pytest.raises(ValueError, match=f"min_shape must be <= {top}"):
-            SynthSpec(height=height, width=width, min_shape=top + 1).validate()
+            SynthSpec(height=height, width=width, min_shape=top + 1)
         for seed in range(4):
             for min_shape, density in ((4, 3.0), (top, 1.0)):
                 spec = SynthSpec(seed=seed, count=16, height=height, width=width,

@@ -85,7 +85,7 @@ class TestBoundaryGuidedFusion:
                    "eval").data
 
         def bn_eval(x, bn):
-            inv = 1.0 / np.sqrt(bn.running_var + bn.eps)
+            inv = 1.0 / np.sqrt(bn.running_var + 1e-5)  # batch_norm's eps
             return (bn.gamma.data * (x.transpose(0, 2, 3, 1) - bn.running_mean)
                     * inv + bn.beta.data).transpose(0, 3, 1, 2)
 

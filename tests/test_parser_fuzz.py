@@ -1,13 +1,17 @@
-"""Parsers against hostile bytes: Netpbm images, checkpoint headers and
-run configs.
+"""Parsers against hostile bytes: Netpbm images, checkpoint headers, run
+configs and dataset manifests.
 
 Each property holds for every input: the parser returns exactly what the
 bytes describe, or it raises its typed error: a `ValueError` for images,
 a `CheckpointError` (exit 4 on the command line) for checkpoints, a
-`ConfigError` (exit 2) for configs. Hypothesis runs derandomized with a
-bounded example count, so every run tries the same inputs.
+`ConfigError` (exit 2) for configs. A manifest loads, or the command
+exits 2 or 4 as README's exit-code table says. Hypothesis runs
+derandomized with a bounded example count, so every run tries the same
+inputs.
 """
 
+import contextlib
+import io
 import json
 import re
 import struct
@@ -19,15 +23,18 @@ import pytest
 pytest.importorskip("hypothesis")
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from lka_seg.cli import ConfigError, load_config
+from lka_seg.cli import ConfigError, load_config, main
 from lka_seg.data_io import (
     CheckpointError,
+    SynthSpec,
     load_into_model,
     read_pgm,
     read_ppm,
     save_checkpoint,
+    synth_dataset,
+    write_dataset,
 )
-from lka_seg.model import ModelConfig
+from lka_seg.model import ModelConfig, build_model
 from lka_seg.nn import BatchNorm2d, Conv2d, Sequential
 from lka_seg.training import TrainConfig
 
@@ -195,8 +202,63 @@ def test_config_loads_or_raises_config_error(scratch, raw):
         assert str(err).startswith(str(scratch))
         return
     assert type(json.loads(raw)["version"]) is int
-    model_cfg.validate()
-    train_cfg.validate()
     for cfg in (model_cfg, train_cfg):
         for f in fields(cfg):
             assert type(getattr(cfg, f.name)) is type(f.default), f.name
+
+
+# manifest lines: a `count` line and others, with keys that `write_dataset`
+# writes and near misses, and values on either side of `count`'s range and
+# syntax
+_manifest_value = st.sampled_from(["1", "2", "0", "-1", "01", "+1", " 1 ", "1_0", "1.0",
+                                   "1e0", "one", "", "0x1", "9" * 4301, "99999999999"])
+_count_line = st.tuples(st.sampled_from(["count", " count", "count\t", "COUNT"]),
+                        st.sampled_from(["=", " = ", "==", ""]), _manifest_value)
+_other_line = st.tuples(st.sampled_from(["seed", "height", "class_count", "", "bogus",
+                                         "count"]), st.just("="), _manifest_value)
+_manifest_bytes = st.one_of(
+    st.builds(lambda before, line, after, sep: sep.join(
+                  "".join(t).encode() for t in before + [line] + after),
+              st.lists(_other_line, max_size=2), _count_line,
+              st.lists(_other_line, max_size=2),
+              st.sampled_from([b"\n", b"\r\n", b"\r", b"\x0b", b"\x1c", b"\t"])),
+    st.binary(max_size=40),
+    st.builds(lambda tail: b"count=1\n" + tail, st.binary(max_size=8)),
+)
+
+
+@pytest.fixture(scope="module")
+def one_sample(tmp_path_factory):
+    """`eval` arguments over a dataset of one valid sample; the manifest is
+    the dataset's `manifest.txt`."""
+    root = tmp_path_factory.mktemp("manifest")
+    spec = SynthSpec(count=1, class_count=3)
+    write_dataset(synth_dataset(spec), root / "data", spec)
+    model = {"class_count": 3, "stem_width": 4, "low_width": 4, "mid_width": 6,
+             "high_width": 8, "blocks_per_stage": 1}
+    (root / "config.json").write_text(json.dumps({"version": 1, "model": model}))
+    save_checkpoint(build_model(ModelConfig(**model)), root / "model.ckpt")
+    argv = ["eval", "--config", str(root / "config.json"),
+            "--ckpt", str(root / "model.ckpt"), "--data", str(root / "data")]
+    return argv, root / "data" / "manifest.txt"
+
+
+@FUZZ
+@given(raw=_manifest_bytes)
+def test_manifest_loads_or_exits_as_the_table_says(one_sample, raw):
+    argv, manifest = one_sample
+    manifest.write_bytes(raw)
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        rc = main(argv)   # an uncaught exception fails the test
+    message = err.getvalue()
+    if rc == 0:
+        # it loaded: one sample, so its count read as 1
+        assert "samples 1\n" in out.getvalue() and message == ""
+    elif rc == 4:
+        # a count above 1 names the first image that is not there
+        assert message.startswith("io error: ") and "img_00001.ppm" in message
+    else:
+        # not ASCII, or no count that is an integer >= 1
+        assert rc == 2 and message.startswith("error: "), (rc, message)
+        assert f"{manifest}: " in message

@@ -18,6 +18,8 @@ from lka_seg import training
 from lka_seg.data_io import SynthSpec, save_checkpoint, synth_dataset
 from lka_seg.model import ModelConfig, build_model
 from lka_seg.training import (
+    MOMENTUM,
+    WEIGHT_DECAY,
     ConfusionMatrix,
     NumericalAbort,
     OhemConfig,
@@ -69,7 +71,7 @@ class TestCrossEntropy:
         logits = rng.normal(size=(2, 5, 4, 4)) * 3
         labels = rng.integers(0, 5, size=(2, 4, 4))
         labels[0, 0, 0] = 255
-        loss = cross_entropy(E.Tensor(logits), labels, ignore_index=255)
+        loss = cross_entropy(E.Tensor(logits), labels)
         ref = cross_entropy_naive(logits, labels, 255)
         assert abs(loss.item() - ref) < 1e-12
 
@@ -83,8 +85,7 @@ class TestCrossEntropy:
 
     def test_label_out_of_range_rejected(self):
         with pytest.raises(ValueError, match="outside"):
-            cross_entropy(E.Tensor(np.zeros((1, 3, 1, 1))),
-                          np.array([[[7]]]), ignore_index=255)
+            cross_entropy(E.Tensor(np.zeros((1, 3, 1, 1))), np.array([[[7]]]))
 
     def test_gradient(self, rng):
         logits = E.Parameter(rng.normal(size=(1, 4, 3, 3)))
@@ -225,14 +226,14 @@ class TestBoundaryBce:
 
 class TestPolyLr:
     def test_endpoints(self):
-        assert poly_lr(0.01, 0, 1000, 0.9) == 0.01
-        assert poly_lr(0.01, 1000, 1000, 0.9) == 0.0
+        assert poly_lr(0.01, 0, 1000) == 0.01
+        assert poly_lr(0.01, 1000, 1000) == 0.0
 
     def test_midpoint_frozen_value(self):
-        assert abs(poly_lr(0.01, 500, 1000, 0.9) - 5.358867312681466e-3) < 1e-15
+        assert abs(poly_lr(0.01, 500, 1000) - 5.358867312681466e-3) < 1e-15
 
     def test_strictly_decreasing(self):
-        values = [poly_lr(0.1, i, 100, 0.9) for i in range(101)]
+        values = [poly_lr(0.1, i, 100) for i in range(101)]
         assert all(a > b for a, b in zip(values, values[1:]))
 
     def test_domain_checks(self):
@@ -240,36 +241,27 @@ class TestPolyLr:
             poly_lr(0.1, -1, 10)
         with pytest.raises(ValueError):
             poly_lr(0.1, 11, 10)
-        with pytest.raises(ValueError):
-            poly_lr(0.1, 1, 10, power=0.0)
 
 
 class TestSgd:
-    def test_vanilla_step(self):
-        p = E.Parameter(np.array([1.0, 2.0]))
-        p.grad = np.array([0.5, -1.0])
-        opt = SGD([("p", p)], momentum=0.0, weight_decay=0.0)
-        opt.step(lr=0.1)
-        np.testing.assert_allclose(p.data, [1.0 - 0.05, 2.0 + 0.1])
-
-    def test_zero_grad_is_identity(self):
+    def test_missing_grad_only_decays(self):
         p = E.Parameter(np.array([3.0]))
-        opt = SGD([("p", p)], momentum=0.9, weight_decay=0.0)
+        opt = SGD([("p", p)])
         opt.step(lr=0.1)
-        np.testing.assert_array_equal(p.data, [3.0])
+        np.testing.assert_array_equal(p.data, [3.0 - 0.1 * (WEIGHT_DECAY * 3.0)])
 
     def test_lr_zero_is_identity(self):
         p = E.Parameter(np.array([3.0]))
         p.grad = np.array([7.0])
-        opt = SGD([("p", p)], momentum=0.9, weight_decay=1e-2)
+        opt = SGD([("p", p)])
         opt.step(lr=0.0)
         np.testing.assert_array_equal(p.data, [3.0])
 
     def test_two_steps_match_hand_recursion(self):
         w0, g1, g2 = 2.0, 0.3, -0.2
-        mom, wd, lr = 0.9, 0.01, 0.5
+        mom, wd, lr = MOMENTUM, WEIGHT_DECAY, 0.5
         p = E.Parameter(np.array([w0]))
-        opt = SGD([("p", p)], momentum=mom, weight_decay=wd)
+        opt = SGD([("p", p)])
         p.grad = np.array([g1])
         opt.step(lr)
         v1 = g1 + wd * w0
@@ -322,14 +314,14 @@ class TestMiou:
     def test_range_and_total(self, rng):
         truth = rng.integers(0, 3, size=500)
         pred = rng.integers(0, 3, size=500)
-        cm = ConfusionMatrix(3).update(pred, truth, ignore_index=None)
+        cm = ConfusionMatrix(3).update(pred, truth)
         per, mean = miou(cm)
-        assert cm.total() == 500
+        assert cm.mat.sum() == 500
         assert 0.0 <= mean <= 1.0
 
     def test_ignore_index_not_scored(self):
         cm = ConfusionMatrix(2).update([0, 1], [0, 255], ignore_index=255)
-        assert cm.total() == 1
+        assert cm.mat.sum() == 1
 
 
 class TestTrainLoop:
