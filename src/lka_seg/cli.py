@@ -23,7 +23,7 @@ import numpy as np
 from . import analysis, data_io
 from . import engine as E
 from .model import ModelConfig, _check_input_shape, build_model, preset_config
-from .training import IGNORE_INDEX, NumericalAbort, TrainConfig, evaluate, train_model
+from .training import NumericalAbort, TrainConfig, evaluate, train_model
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -120,12 +120,10 @@ def _check_image_size(path, image):
 
 
 def _load_samples(data_dir, class_count):
-    """The samples of a dataset directory, which must exist, with every
-    label below `class_count` or the ignore label, and images of a size
-    the model takes."""
-    if not os.path.isdir(data_dir):
-        raise ConfigError(f"dataset directory {data_dir!r} does not exist")
-    samples = data_io.load_dataset(data_dir, class_count, IGNORE_INDEX)[0]
+    """The samples of a dataset directory, with every label below
+    `class_count` or the ignore label, and images of a size the model
+    takes."""
+    samples = data_io.load_dataset(data_dir, class_count)[0]
     # load_dataset gives every image the first one's size
     _check_image_size(os.path.join(data_dir, "img_00000.ppm"), samples[0].image)
     return samples

@@ -289,6 +289,9 @@ def read_pgm(path):
 # dataset directory layout: img_%05d.ppm / lbl_%05d.pgm + manifest.txt
 # ---------------------------------------------------------------------------
 
+# the label map gray level of pixels no loss or metric scores
+IGNORE_INDEX = 255
+
 
 def write_dataset(samples, out_dir, spec):
     os.makedirs(out_dir, exist_ok=True)
@@ -339,7 +342,7 @@ def _manifest_int(manifest, data_dir, key):
     return value
 
 
-def load_dataset(data_dir, class_count=None, ignore_index=None):
+def load_dataset(data_dir, class_count=None):
     """Read a dataset directory back into samples.
 
     The manifest must hold a `count` entry that is an integer >= 1;
@@ -349,7 +352,7 @@ def load_dataset(data_dir, class_count=None, ignore_index=None):
 
     Every image must have the first image's size, and every label map its
     image's size; otherwise a `ValueError` names the file and both sizes.
-    Given `class_count`, every label must be below it or be `ignore_index`;
+    Given `class_count`, every label must be below it or be `IGNORE_INDEX`;
     otherwise a `ValueError` names the label map, the first such label and
     its row and column.
     """
@@ -369,13 +372,13 @@ def load_dataset(data_dir, class_count=None, ignore_index=None):
             raise ValueError(f"{label_path}: label map is {_hw(labels.shape)}, "
                              f"but its image is {_hw(size)}")
         if class_count is not None:
-            bad = (labels >= class_count) & (labels != ignore_index)
+            bad = (labels >= class_count) & (labels != IGNORE_INDEX)
             if bad.any():
                 y, x = (int(v) for v in np.argwhere(bad)[0])
                 raise ValueError(
                     f"{label_path}: label {labels[y, x]} at row {y}, column {x} "
                     f"outside [0, {class_count}) and not the ignore label "
-                    f"{ignore_index}")
+                    f"{IGNORE_INDEX}")
         samples.append(SegBatch(image=image, labels=labels))
     return samples, manifest
 
@@ -500,11 +503,10 @@ def load_checkpoint(path):
     return out
 
 
-def checkpoint_scalar_count(path, trainable_only=True):
-    """Number of scalars in a checkpoint's (trainable) manifest entries."""
-    entries = load_checkpoint(path)
-    return sum(arr.size for arr, trainable in entries.values()
-               if trainable or not trainable_only)
+def checkpoint_scalar_count(path):
+    """Number of scalars in a checkpoint's trainable manifest entries."""
+    return sum(arr.size for arr, trainable in load_checkpoint(path).values()
+               if trainable)
 
 
 def load_into_model(model, path):

@@ -49,10 +49,10 @@ gradient is its gradient columns plus 0.0, the scatter's 0.0 + v in one op.
 Taps that read only padding are skipped (`_live_taps`): a dilated strip
 on a small map reaches far past its border, and such a tap would add
 exact zeros. The live taps are a contiguous block of rows and columns.
-Every depthwise tap sum and weight gradient, every dense input gradient
-and every `_scatter_taps` loop run over them only, so results are
-unchanged apart from the sign of an exact zero. The FLOP meter still
-charges every nominal tap.
+Every depthwise tap sum and weight gradient and every gathered dense
+input gradient run over them only, and `_scatter_taps` skips each tap
+with no read inside the input, so results are unchanged apart from the
+sign of an exact zero. The FLOP meter still charges every nominal tap.
 
 `select_mix` is the kernel selector's whole mix in one op: the joint
 spatial-times-channel logits, the softmax across branches
@@ -76,8 +76,8 @@ closure produces is scanned, and the first non-finite one raises
 Conventions fixed here and relied on everywhere else:
   * bilinear resizing uses half-pixel source centers (there is no
     align_corners mode),
-  * batch norm uses biased variance and updates running statistics as
-    running = (1 - momentum) * running + momentum * batch_stat,
+  * batch norm adds BN_EPS to the biased variance; running statistics
+    update as running = (1 - BN_MOMENTUM) * running + BN_MOMENTUM * batch_stat,
   * the selector softmax subtracts the (detached) max over its branch
     axis before exp.
 
@@ -120,6 +120,8 @@ __all__ = [
 
 _INV_SQRT2 = 1.0 / np.sqrt(2.0)
 _INV_SQRT2PI = 1.0 / np.sqrt(2.0 * np.pi)
+BN_MOMENTUM = 0.1
+BN_EPS = 1e-5
 # Largest live-tap product (taps * n * c * oh * ow elements) a depthwise
 # tap sum forms in one channels-last multiply; above it the tap loop keeps
 # the temporary small. Forward, one BLAS thread, batched vs looped: 5x5
@@ -425,14 +427,13 @@ def mul(a, b):
     return _record(out, (a, b), bwd, out.size)
 
 
-def concat(tensors, axis=1):
+def concat(tensors):
     tensors = [_as_tensor(t) for t in tensors]
-    out = np.concatenate([t.data for t in tensors], axis=axis)
-    sizes = [t.data.shape[axis] for t in tensors]
-    splits = np.cumsum(sizes)[:-1]
+    out = np.concatenate([t.data for t in tensors], axis=1)
+    splits = np.cumsum([t.data.shape[1] for t in tensors])[:-1]
 
     def bwd(g):
-        pieces = np.split(g, splits, axis=axis)
+        pieces = np.split(g, splits, axis=1)
         for t, piece in zip(tensors, pieces):
             if t.requires_grad:
                 _acc(t, piece)
@@ -661,21 +662,20 @@ def _scatter_taps(shape, tap_grad, kernel, stride, dilation, padding):
     The adjoint of `_tap_view` over `_pad`: `tap_grad(i, j)`, the
     (n, c, oh, ow) gradient reaching tap (i, j), goes back to the input
     cells the tap read. Per axis, output y of tap i read input cell
-    i*d - p + y*s. On a zero grid of `shape`, the live taps add, in
-    row-major order, the in-bounds part of their gradient through one
-    clipped strided slice each, so every cell sums its taps in that order
-    from +0.0. Reads of the padding have no cell and are dropped, as is a
-    live tap that steps over every cell (stride > size).
+    i*d - p + y*s. On a zero grid of `shape`, the taps add, in row-major
+    order, the in-bounds part of their gradient through one clipped
+    strided slice each, so every cell sums its taps in that order from
+    +0.0. Reads of the padding have no cell and are dropped, as is a tap
+    with none inside the input (`_in_bounds` returns None).
     """
     n, c, h, w = shape
-    (sh, sw), (dh, dw), (ph, pw) = stride, dilation, padding
+    (kh, kw), (sh, sw), (dh, dw), (ph, pw) = kernel, stride, dilation, padding
     oh, ow = _out_hw(h, w, kernel, stride, padding, dilation)
-    rows, cols = _live_taps((h, w), kernel, stride, padding, dilation, (oh, ow))
-    xspans = [_in_bounds(j * dw - pw, ow, sw, w) for j in cols]
+    xspans = [_in_bounds(j * dw - pw, ow, sw, w) for j in range(kw)]
     out = np.zeros(shape)
-    for i in rows:
+    for i in range(kh):
         ys = _in_bounds(i * dh - ph, oh, sh, h)
-        for j, xs in zip(cols, xspans):
+        for j, xs in enumerate(xspans):
             if ys and xs:
                 out[:, :, ys[0], xs[0]] += tap_grad(i, j)[:, :, ys[1], xs[1]]
     return out
@@ -936,12 +936,11 @@ def conv2d(x, w, b=None, stride=1, padding=0, dilation=1, groups=1):
     return _record(out, parents, bwd, flops)
 
 
-def avg_pool(x, kernel, stride=None, padding=0):
+def avg_pool(x, kernel, stride, padding):
     """Average pooling; the divisor counts only valid (non-padding) cells."""
     x = _as_tensor(x)
     _check_4d(x, "pool input")
-    kernel = _pair(kernel, "kernel")
-    stride = _pair(stride, "stride") if stride is not None else kernel
+    kernel, stride = _pair(kernel, "kernel"), _pair(stride, "stride")
     padding = _pair(padding, "padding", 0)
     (kh, kw), (ph, pw) = kernel, padding
     n, c, h, w = x.data.shape
@@ -984,13 +983,13 @@ def global_avg_pool(x):
     return _record(out, (x,), bwd, x.data.size)
 
 
-def batch_norm(x, gamma, beta, running_mean, running_var, mode, momentum=0.1, eps=1e-5):
+def batch_norm(x, gamma, beta, running_mean, running_var, mode):
     """Channel-wise batch normalization.
 
     Train mode normalizes with batch moments (biased variance) and updates
-    the running arrays in place by exponential moving average; eval mode
-    normalizes with the running arrays. `running_mean`/`running_var` are
-    plain numpy buffers, not tape tensors.
+    the running arrays in place, an exponential moving average at
+    `BN_MOMENTUM`; eval mode normalizes with them. Both add `BN_EPS` to the
+    variance. The running arrays are plain numpy buffers, not tape tensors.
     """
     x, gamma, beta = _as_tensor(x), _as_tensor(gamma), _as_tensor(beta)
     _check_4d(x, "batch_norm input")
@@ -1011,15 +1010,15 @@ def batch_norm(x, gamma, beta, running_mean, running_var, mode, momentum=0.1, ep
     if mode == "train":
         out = np.multiply(xhat, xhat)
         var = out.sum(axis=(0, 2, 3)) / m
-        running_mean *= 1.0 - momentum
-        running_mean += momentum * mean
-        running_var *= 1.0 - momentum
-        running_var += momentum * var
+        running_mean *= 1.0 - BN_MOMENTUM
+        running_mean += BN_MOMENTUM * mean
+        running_var *= 1.0 - BN_MOMENTUM
+        running_var += BN_MOMENTUM * var
     else:
         out = np.empty_like(xhat)
         var = running_var
 
-    inv = 1.0 / np.sqrt(var + eps)
+    inv = 1.0 / np.sqrt(var + BN_EPS)
     xhat *= inv[None, :, None, None]
     np.multiply(xhat, gamma.data[None, :, None, None], out=out)
     out += beta.data[None, :, None, None]

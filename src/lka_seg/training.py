@@ -17,9 +17,10 @@ of computing both from scratch.
 rate and seed. The rest are module constants: SGD `MOMENTUM` and
 `WEIGHT_DECAY`, the poly schedule's `POLY_POWER`, the mining
 `OHEM_THRESHOLD` and `OHEM_MIN_KEPT_FRAC` (of the batch's pixels), the
-loss weights, `IGNORE_INDEX`, the validation batch `VAL_BATCH` and
-`EVAL_PIXELS`, the most pixels one evaluation forward takes in. Every
-training batch is flipped left-right per sample with probability 1/2.
+loss weights, the validation batch `VAL_BATCH` and `EVAL_PIXELS`, the
+most pixels one evaluation forward takes in; `data_io` owns the label
+maps' `IGNORE_INDEX`. Every training batch is flipped left-right per
+sample with probability 1/2.
 
 The loop is single-threaded and deterministic for a fixed seed: one
 `numpy` generator drives shuffling and augmentation, so two runs with the
@@ -37,6 +38,7 @@ import numpy as np
 from scipy.special import expit
 
 from . import engine as E
+from .data_io import IGNORE_INDEX
 from .nn import locate_nonfinite
 
 MOMENTUM = 0.9
@@ -46,7 +48,6 @@ OHEM_THRESHOLD = 0.7
 OHEM_MIN_KEPT_FRAC = 1.0 / 16.0
 AUX_WEIGHT = 0.4
 BOUNDARY_WEIGHT = 1.0
-IGNORE_INDEX = 255
 VAL_BATCH = 8
 # Most pixels (images * h * w) one `evaluate` forward takes in: 2 scenes at
 # 256x256, 8 at 128x128, 32 at 64x64. An eval-mode forward treats each
@@ -256,12 +257,11 @@ class ConfusionMatrix:
         self.class_count = class_count
         self.mat = np.zeros((class_count, class_count), dtype=np.int64)
 
-    def update(self, pred, truth, ignore_index=None):
-        pred = np.asarray(pred).ravel()
-        truth = np.asarray(truth).ravel()
-        if ignore_index is not None:
-            m = truth != ignore_index
-            pred, truth = pred[m], truth[m]
+    def update(self, pred, truth):
+        """Count the pixels whose truth is not `IGNORE_INDEX`."""
+        pred, truth = np.asarray(pred).ravel(), np.asarray(truth).ravel()
+        scored = truth != IGNORE_INDEX
+        pred, truth = pred[scored], truth[scored]
         k = self.class_count
         if ((truth < 0) | (truth >= k)).any() or ((pred < 0) | (pred >= k)).any():
             raise ValueError("labels outside [0, class_count)")
@@ -401,7 +401,7 @@ def evaluate(model, dataset, class_count, batch_size=VAL_BATCH):
         # hold no model output into the next batch's forward
         with E.no_grad():
             pred = model(E.Tensor(images), "eval").seg_logits.data.argmax(axis=1)
-        cm.update(pred, labels, IGNORE_INDEX)
+        cm.update(pred, labels)
     return miou(cm)
 
 

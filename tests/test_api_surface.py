@@ -1,7 +1,9 @@
-"""Guards on the public surface: no dead engine ops, no drifted command lists,
-no config that holds an invalid value."""
+"""Guards on the public surface: no dead engine ops, no parameter the
+program never sets, no drifted command lists, no config that holds an
+invalid value."""
 
 import argparse
+import ast
 import dataclasses
 import re
 from pathlib import Path
@@ -46,6 +48,46 @@ def test_every_private_function_has_a_caller_in_the_package():
     calls = re.sub(r"^[ \t]*def \w+\(", "", source, flags=re.M)
     assert {"_logits", "_degenerate", "_apply_gate"} <= set(helpers)
     assert [name for name in helpers if not re.search(rf"\b{name}\(", calls)] == []
+
+
+def defaulted_parameters(fn):
+    """(position or None, name) of each of `fn`'s parameters with a default."""
+    a = fn.args
+    positional = a.posonlyargs + a.args
+    first = len(positional) - len(a.defaults)
+    for i, arg in enumerate(positional[first:], first):
+        yield i, arg.arg
+    for arg, default in zip(a.kwonlyargs, a.kw_defaults):
+        if default is not None:
+            yield None, arg.arg
+
+
+def test_every_defaulted_parameter_is_passed_by_the_program():
+    # a default that every caller leaves alone is a constant in disguise;
+    # callers are matched by name, so a method of the same name counts too
+    positions, keywords = {}, {}
+    program = [*(ROOT / "src").rglob("*.py"), *(ROOT / "perfbench").glob("*.py")]
+    for path in program:
+        for call in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(call, ast.Call):
+                continue
+            name = getattr(call.func, "id", getattr(call.func, "attr", None))
+            starred = any(isinstance(arg, ast.Starred) for arg in call.args)
+            positions[name] = max(positions.get(name, 0),
+                                  float("inf") if starred else len(call.args))
+            keywords.setdefault(name, set()).update(k.arg for k in call.keywords)
+    unset = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for fn in ast.parse(path.read_text()).body:
+            if not isinstance(fn, ast.FunctionDef):
+                continue
+            passed = keywords.get(fn.name, set())
+            unset += [f"{path.stem}.{fn.name}.{name}"
+                      for i, name in defaulted_parameters(fn)
+                      if not (i is not None and i < positions.get(fn.name, 0)
+                              or name in passed or None in passed)]
+    # the tests' seam: the console script calls main() with no arguments
+    assert unset == ["cli.main.argv"]
 
 
 def subparsers():

@@ -13,9 +13,12 @@ import numpy as np
 import pytest
 
 import lka_seg
+import lka_seg.engine as E
 from lka_seg.cli import main
-from lka_seg.data_io import load_into_model, save_checkpoint, write_pgm, write_ppm
+from lka_seg.data_io import (IGNORE_INDEX, load_into_model, read_pgm, read_ppm,
+                             save_checkpoint, write_pgm, write_ppm)
 from lka_seg.model import ModelConfig, build_model
+from lka_seg.training import ConfusionMatrix, miou
 from helpers import set_first_offset
 
 TOY_CONFIG = {
@@ -131,11 +134,15 @@ class TestTrain:
         header = open(os.path.join(out, "metrics.csv")).readline().strip()
         assert header == "epoch,loss,miou,lr"
 
-    def test_missing_dataset_dir_exits_2(self, tmp_path, capsys):
+    def test_missing_dataset_dir_exits_4(self, tmp_path, capsys):
         cfg = write_config(tmp_path, TINY_CONFIG)
-        rc = main(["train", "--config", cfg, "--data", str(tmp_path / "none"),
+        missing = tmp_path / "none"
+        rc = main(["train", "--config", cfg, "--data", str(missing),
                    "--out", str(tmp_path / "run")])
-        assert rc == 2
+        assert rc == 4
+        err = capsys.readouterr().err
+        assert err.startswith("io error: ") and str(missing / "manifest.txt") in err
+        assert not (tmp_path / "run").exists()
 
     def test_seed_repeat_identical_metrics(self, tmp_path):
         data = synth(tmp_path, count=8, classes=3)
@@ -463,12 +470,15 @@ class TestEvalInfer:
         assert f"config error: {fault}" in capsys.readouterr().err
         assert os.listdir(tmp_path) == []
 
-    def test_eval_missing_dataset_dir_exits_2(self, trained, tmp_path, capsys):
+    def test_eval_missing_dataset_dir_exits_4(self, trained, tmp_path, capsys):
         _, cfg, ckpt = trained
-        missing = str(tmp_path / "none")
-        assert main(["eval", "--config", cfg, "--ckpt", ckpt, "--data", missing]) == 2
+        missing = tmp_path / "none"
+        capsys.readouterr()
+        assert main(["eval", "--config", cfg, "--ckpt", ckpt, "--data",
+                     str(missing)]) == 4
         captured = capsys.readouterr()
-        assert f"config error: dataset directory {missing!r} does not exist" in captured.err
+        assert captured.err.startswith("io error: ")
+        assert str(missing / "manifest.txt") in captured.err
         assert captured.out == ""
 
     def test_infer_class_count_beyond_palette_exits_2_before_any_file_is_read(
@@ -710,6 +720,9 @@ def _dataset_fault(tmp_path, fault):
     save_checkpoint(build_model(ModelConfig(**model_doc)), ckpt)
     if fault in ("manifest.txt", "img_00003.ppm", "lbl_00002.pgm"):
         os.remove(os.path.join(data, fault))
+    elif fault == "data-file":
+        data = str(tmp_path / "data.txt")
+        Path(data).write_text("not a dataset\n")
     elif fault == "version":
         blob = bytearray(Path(ckpt).read_bytes())
         blob[4:8] = struct.pack("<I", 2)
@@ -735,6 +748,7 @@ def _resize_dataset(data, count, size):
 
 @pytest.mark.parametrize("fault, code, message", [
     ("manifest.txt", 4, "manifest.txt"),
+    ("data-file", 4, "data.txt/manifest.txt"),
     ("img_00003.ppm", 4, "img_00003.ppm"),
     ("lbl_00002.pgm", 4, "lbl_00002.pgm"),
     ("label", 2, "outside [0, 3) and not the ignore label 255"),
@@ -745,7 +759,7 @@ def _resize_dataset(data, count, size):
                      "divisible by 64, got 96x96"),
     ("image-size", 2, "wide.ppm: input spatial dims must be positive and "
                       "divisible by 64, got 64x96"),
-], ids=["no-manifest", "no-image", "no-label-map", "label-range",
+], ids=["no-manifest", "data-file", "no-image", "no-label-map", "label-range",
         "checkpoint-version", "checkpoint-shape", "no-config", "data-size",
         "image-size"])
 def test_exit_code_table_rows(tmp_path, capsys, fault, code, message):
@@ -769,3 +783,34 @@ def test_train_refuses_an_image_size_before_training(tmp_path, capsys):
     assert rc == 2
     assert "img_00000.ppm: input spatial dims" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_ignore_label_is_skipped_by_train_and_eval(tmp_path, capsys):
+    data = synth(tmp_path, count=6)
+    for i in range(6):
+        path = os.path.join(data, f"lbl_{i:05d}.pgm")
+        labels = read_pgm(path)
+        labels[i * 8:i * 8 + 24, 16:40] = IGNORE_INDEX
+        write_pgm(path, labels)
+    cfg = write_config(tmp_path, TINY_CONFIG)   # one epoch
+    out = tmp_path / "run"
+    assert main(["train", "--config", cfg, "--data", data, "--out", str(out),
+                 "--val-count", "2"]) == 0
+    assert len((out / "metrics.csv").read_text().splitlines()) == 2
+    ckpt = str(out / "last.ckpt")
+    capsys.readouterr()
+    assert main(["eval", "--config", cfg, "--ckpt", ckpt, "--data", data]) == 0
+    printed = capsys.readouterr().out.splitlines()[-1]
+
+    model = build_model(ModelConfig(**TINY_CONFIG["model"]))
+    load_into_model(model, ckpt)
+    cm = ConfusionMatrix(3)
+    for i in range(6):
+        image = read_ppm(os.path.join(data, f"img_{i:05d}.ppm"))
+        truth = read_pgm(os.path.join(data, f"lbl_{i:05d}.pgm")).astype(np.int64)
+        with E.no_grad():
+            pred = model(E.Tensor(image[None]), "eval").seg_logits.data.argmax(axis=1)[0]
+        scored = truth != IGNORE_INDEX
+        assert not scored.all()
+        cm.update(pred[scored], truth[scored])
+    assert printed == f"miou {miou(cm)[1]:.6f}"

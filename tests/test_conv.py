@@ -187,8 +187,8 @@ def test_bad_window_rejected():
             E.conv2d(x, w, **kw)
     with pytest.raises(ValueError, match="kernel"):
         E.conv2d(x, E.Tensor(np.ones((1, 1, 0, 3))))
-    for name, args in (("stride", (2, 0)), ("padding", (2, 2, -1)),
-                       ("kernel", (0,))):
+    for name, args in (("stride", (2, 0, 0)), ("padding", (2, 2, -1)),
+                       ("kernel", (0, 1, 0))):
         with pytest.raises(ValueError, match=name):
             E.avg_pool(x, *args)
 

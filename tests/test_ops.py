@@ -51,11 +51,12 @@ class TestAvgPool:
 
 
 class TestBatchNorm:
-    def test_constant_input_maps_to_zero(self):
+    def test_constant_input_maps_to_zero(self, monkeypatch):
+        monkeypatch.setattr(E, "BN_EPS", 1e-12)
         x = np.broadcast_to(np.array([3.0, -2.0])[None, :, None, None],
                             (2, 2, 4, 4)).copy()
         out = E.batch_norm(E.Tensor(x), E.Tensor(np.ones(2)), E.Tensor(np.zeros(2)),
-                           np.zeros(2), np.ones(2), "train", eps=1e-12)
+                           np.zeros(2), np.ones(2), "train")
         assert np.abs(out.data).max() <= 1e-6
 
     def test_gamma_zero_beta_constant(self):
@@ -66,36 +67,39 @@ class TestBatchNorm:
                            "train")
         assert np.allclose(out.data, 7.0)
 
-    def test_moments_after_normalization(self):
+    def test_moments_after_normalization(self, monkeypatch):
+        monkeypatch.setattr(E, "BN_EPS", 1e-12)
         rng = np.random.default_rng(2)
         x = rng.normal(1.5, 2.0, size=(4, 3, 8, 8))
         out = E.batch_norm(E.Tensor(x), E.Tensor(np.ones(3)), E.Tensor(np.zeros(3)),
-                           np.zeros(3), np.ones(3), "train", eps=1e-12)
+                           np.zeros(3), np.ones(3), "train")
         mean = out.data.mean(axis=(0, 2, 3))
         var = out.data.var(axis=(0, 2, 3))
         assert np.abs(mean).max() < 1e-10
         assert np.abs(var - 1.0).max() < 1e-8
 
-    def test_running_stats_ema_and_eval(self):
+    def test_running_stats_ema_and_eval(self, monkeypatch):
+        monkeypatch.setattr(E, "BN_MOMENTUM", 0.25)
         rng = np.random.default_rng(3)
         x = rng.normal(size=(2, 2, 4, 4))
         rm, rv = np.zeros(2), np.ones(2)
         E.batch_norm(E.Tensor(x), E.Tensor(np.ones(2)), E.Tensor(np.zeros(2)),
-                     rm, rv, "train", momentum=0.25)
+                     rm, rv, "train")
         np.testing.assert_allclose(rm, 0.25 * x.mean(axis=(0, 2, 3)))
         np.testing.assert_allclose(
             rv, 0.75 * 1.0 + 0.25 * x.var(axis=(0, 2, 3)))
         out = E.batch_norm(E.Tensor(x), E.Tensor(np.ones(2)), E.Tensor(np.zeros(2)),
-                           rm.copy(), rv.copy(), "eval", eps=1e-5)
+                           rm.copy(), rv.copy(), "eval")
         ref = (x - rm[None, :, None, None]) / np.sqrt(rv + 1e-5)[None, :, None, None]
         assert rel_err(out.data, ref) < 1e-14
 
     @pytest.mark.parametrize("shape", [
         (1, 3, 7, 5), (2, 4, 8, 8), (4, 8, 16, 16), (1, 16, 33, 17),
         (8, 6, 32, 32), (3, 5, 64, 48), (1, 12, 128, 96), (2, 16, 128, 128)])
-    def test_bytes_match_numpy_var_and_the_plain_expression(self, shape):
+    def test_bytes_match_numpy_var_and_the_plain_expression(self, shape, monkeypatch):
         # pins the in-place forward to `x.var` and the out-of-place formula,
         # so a numpy whose reductions or ufuncs round otherwise fails here
+        monkeypatch.setattr(E, "BN_MOMENTUM", 1.0)
         rng = np.random.default_rng(sum(shape))
         c = shape[1]
         for _ in range(3):
@@ -106,7 +110,7 @@ class TestBatchNorm:
             mean, var = x.mean(axis=(0, 2, 3)), x.var(axis=(0, 2, 3))
             rm, rv = np.zeros(c), np.zeros(c)
             out = E.batch_norm(E.Tensor(x), E.Tensor(gamma), E.Tensor(beta),
-                               rm, rv, "train", momentum=1.0)
+                               rm, rv, "train")
             assert rm.tobytes() == mean.tobytes()
             assert rv.tobytes() == var.tobytes()
             for m, v, got in ((mean, var, out.data),

@@ -320,7 +320,7 @@ class TestMiou:
         assert 0.0 <= mean <= 1.0
 
     def test_ignore_index_not_scored(self):
-        cm = ConfusionMatrix(2).update([0, 1], [0, 255], ignore_index=255)
+        cm = ConfusionMatrix(2).update([0, 1], [0, 255])
         assert cm.mat.sum() == 1
 
 
